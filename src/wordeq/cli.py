@@ -54,7 +54,8 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-len", type=int, required=True,
                    help="bound on the length of the common value x^i y^j x^k")
     p.add_argument("--shards", type=int, default=None,
-                   help="parallel shards (default: WORDEQ_SHARDS or processor count)")
+                   help="shard count, >= 1 (default: WORDEQ_SHARDS or processor count); "
+                        "accepted for compatibility, the search runs in one process")
 
 
 def _add_format_flag(p: argparse.ArgumentParser) -> None:

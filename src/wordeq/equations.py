@@ -6,23 +6,30 @@ satisfy the equation above.  The pattern forces periodicity up to a
 length bound when every solution with (x, y) != (u, v) found within the
 bound is periodic, i.e. all four images are powers of a single word.
 
-The search enumerates (x, y), builds the common value w = x^i y^j x^k
-once, and reads each candidate (u, v) directly out of w: for every
-admissible |u| the word u is the forced prefix block and v the forced
-middle factor, so the second side is never enumerated freely.  The
-candidate space splits into independent shards; reports are identical
-for every shard count because results are merged and sorted canonically.
+The search fixes the four lengths first.  For each (|x|, |y|, |u|, |v|)
+with (i + k)|x| + j|y| = (i + k)|u| + j|v| = n within the bound, the
+two sides spell one word of length n, so the positions of x, y, u and v
+that meet at each of its n positions must carry the same letter.
+Union-find over those positions gives c classes, and the solutions with
+these lengths are exactly the alphabet^c letter assignments to the
+classes; no word is guessed and checked.  A tuple with |u| = |x| forces
+u = x and v = y, so the trivial solutions are skipped without looking
+at any word.
+
+The search runs in one process.  The ``shards`` argument is accepted and
+validated for compatibility but starts no processes, so reports are
+byte-identical for every shard count by construction.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import permutations
+from heapq import merge
+from itertools import permutations, product
 from typing import Iterator, NamedTuple
 
-from .words import alphabet, primitive_root, words_of_length
+from .words import alphabet, primitive_root
 
 
 class Exponents(NamedTuple):
@@ -87,42 +94,75 @@ def _validate_search_args(exps: Exponents, alphabet_size: int, max_total_len: in
         raise ValueError(f"bound too small: need max_total_len >= {i + j + k}")
 
 
-def _forced_factorizations(w: str, exps: Exponents, allow_empty: bool) -> Iterator[tuple[str, str]]:
+def _length_blocks(
+    exps: Exponents, max_total_len: int, allow_empty: bool
+) -> Iterator[tuple[int, int, list[tuple[int, int]]]]:
+    """Each (|x|, |y|) within the bound, with every (|u|, |v|) of equal total length."""
     i, j, k = exps
-    n = len(w)
-    lo = 0 if allow_empty else 1
-    for lu in range(lo, n // (i + k) + 1):
-        rem = n - (i + k) * lu
-        if rem % j:
-            continue
-        lv = rem // j
-        if lv == 0 and not allow_empty:
-            continue
-        if i >= 1:
-            u = w[:lu]
-            v = w[i * lu:i * lu + lv]
-        else:
-            # i == 0: the left block of w is v^j, u sits after it
-            v = w[:lv]
-            u = w[j * lv:j * lv + lu]
-        if u * i + v * j + u * k == w:
-            yield u, v
-
-
-def _candidate_pairs(
-    exps: Exponents, alphabet_size: int, max_total_len: int, allow_empty: bool
-) -> Iterator[tuple[str, str]]:
-    i, j, k = exps
-    letters = alphabet(alphabet_size)
     lo = 0 if allow_empty else 1
     for lx in range(lo, max_total_len // (i + k) + 1):
         budget = max_total_len - (i + k) * lx
         for ly in range(lo, budget // j + 1):
             if lx == 0 and ly == 0:
                 continue
-            for x in words_of_length(lx, letters):
-                for y in words_of_length(ly, letters):
-                    yield x, y
+            n = (i + k) * lx + j * ly
+            uv = []
+            for lu in range(lo, n // (i + k) + 1):
+                rem = n - (i + k) * lu
+                if rem % j == 0 and (rem or allow_empty):
+                    uv.append((lu, rem // j))
+            yield lx, ly, uv
+
+
+def _position_classes(exps: Exponents, lx: int, ly: int, lu: int, lv: int) -> tuple[int, list[int]]:
+    """Union the positions of x, y, u, v that meet in x^i y^j x^k = u^i v^j u^k.
+
+    Returns the class count and the class of every position of x y u v,
+    read in that order; classes are numbered by first occurrence.  Every
+    position of u and v meets a position of x or y in the common value,
+    so each class meets x y and the numbering follows x y alone.
+    """
+    i, j, k = exps
+    xs, ys = list(range(lx)), list(range(lx, lx + ly))
+    us, vs = list(range(lx + ly, lx + ly + lu)), list(range(lx + ly + lu, lx + ly + lu + lv))
+    parent = list(range(lx + ly + lu + lv))
+    for p, q in zip(xs * i + ys * j + xs * k, us * i + vs * j + us * k):
+        while p != parent[p]:
+            parent[p] = p = parent[parent[p]]
+        while q != parent[q]:
+            parent[q] = q = parent[parent[q]]
+        # the smaller index becomes the root, so parent[p] <= p throughout
+        # and each root is the first position of its class
+        if p < q:
+            parent[q] = p
+        elif q < p:
+            parent[p] = q
+    label = []
+    count = 0
+    for p, q in enumerate(parent):
+        root = parent[p] = parent[q]  # q <= p, so q already points at its root
+        if root == p:
+            label.append(count)
+            count += 1
+        else:
+            label.append(label[root])
+    return count, label
+
+
+def _tuple_solutions(
+    exps: Exponents, letters: str, lx: int, ly: int, lu: int, lv: int
+) -> Iterator[tuple[str, str, int, str, str]]:
+    """Every solution with the given four lengths as (x, y, |u|, u, v), sorted by (x, y).
+
+    The solutions are exactly the letter assignments to the position
+    classes.  Classes are numbered by first occurrence in x y, so the
+    assignments in product order give x y in lexicographic order.
+    """
+    count, label = _position_classes(exps, lx, ly, lu, lv)
+    a, b, c = lx, lx + ly, lx + ly + lu
+    for assignment in product(letters, repeat=count):
+        s = "".join([assignment[t] for t in label])
+        yield s[:a], s[a:b], lu, s[b:c], s[c:]
 
 
 def iter_solutions(
@@ -133,42 +173,20 @@ def iter_solutions(
     distinct_only: bool = True,
     allow_empty: bool = False,
 ) -> Iterator[EquationInstance]:
-    """Every solution quadruple within the bound, in enumeration order."""
+    """Every solution quadruple within the bound, sorted by (|x|, |y|, x, y, |u|).
+
+    The search is lazy one (|x|, |y|) block at a time: the block's
+    length tuples are merged in (x, y, |u|) order.
+    """
     exps = Exponents(*exps)
     _validate_search_args(exps, alphabet_size, max_total_len)
-    i, j, k = exps
-    for x, y in _candidate_pairs(exps, alphabet_size, max_total_len, allow_empty):
-        w = x * i + y * j + x * k
-        for u, v in _forced_factorizations(w, exps, allow_empty):
-            if distinct_only and u == x and v == y:
-                continue
+    letters = alphabet(alphabet_size)
+    for lx, ly, uv in _length_blocks(exps, max_total_len, allow_empty):
+        # |u| = |x| forces u = x and v = y; every other tuple gives distinct solutions
+        streams = [_tuple_solutions(exps, letters, lx, ly, lu, lv)
+                   for lu, lv in uv if not (distinct_only and lu == lx)]
+        for x, y, _, u, v in merge(*streams):
             yield EquationInstance(exps, x, y, u, v)
-
-
-def _solve_shard(
-    exps: Exponents,
-    alphabet_size: int,
-    max_total_len: int,
-    distinct_only: bool,
-    allow_empty: bool,
-    shard: int,
-    nshards: int,
-) -> list[tuple[int, int, str, str, str, str]]:
-    i, j, k = exps
-    found = []
-    for idx, (x, y) in enumerate(_candidate_pairs(exps, alphabet_size, max_total_len, allow_empty)):
-        if idx % nshards != shard:
-            continue
-        w = x * i + y * j + x * k
-        for fidx, (u, v) in enumerate(_forced_factorizations(w, exps, allow_empty)):
-            if distinct_only and u == x and v == y:
-                continue
-            found.append((idx, fidx, x, y, u, v))
-    return found
-
-
-def _solve_shard_args(args) -> list[tuple[int, int, str, str, str, str]]:
-    return _solve_shard(*args)
 
 
 def _letter_maps(words: tuple[str, ...], alphabet_size: int) -> Iterator[dict[str, str]]:
@@ -245,25 +263,19 @@ def enumerate_solutions(
     allow_empty: bool = False,
     shards: int = 1,
 ) -> SolutionReport:
-    """Visit every quadruple within the bound and classify the solutions.
+    """Find every solution within the bound and classify it.
 
     The bound limits the length of the common value x^i y^j x^k.  With
     ``distinct_only`` the trivial solutions (x, y) == (u, v) are skipped.
-    ``shards`` only controls parallelism; the report is byte-identical
-    for any shard count.
+    ``shards`` must be >= 1 and is otherwise ignored: the search runs in
+    one process, so the report is the same for any shard count.
     """
+    if shards < 1:
+        raise ValueError("shards must be >= 1")
     exps = Exponents(*exps)
-    _validate_search_args(exps, alphabet_size, max_total_len)
-    nshards = max(1, shards)
-    common = (exps, alphabet_size, max_total_len, distinct_only, allow_empty)
-    if nshards == 1:
-        rows = _solve_shard(*common, 0, 1)
-    else:
-        argsets = [common + (s, nshards) for s in range(nshards)]
-        with ProcessPoolExecutor(max_workers=nshards) as pool:
-            rows = [row for chunk in pool.map(_solve_shard_args, argsets) for row in chunk]
-        rows.sort(key=lambda r: (r[0], r[1]))
-    solutions = tuple(EquationInstance(exps, x, y, u, v) for _, _, x, y, u, v in rows)
+    solutions = tuple(iter_solutions(
+        exps, alphabet_size, max_total_len, distinct_only=distinct_only, allow_empty=allow_empty
+    ))
     reps: dict[tuple[str, str, str, str], EquationInstance] = {}
     for inst in solutions:
         if not is_periodic_solution(inst):

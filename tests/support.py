@@ -28,26 +28,34 @@ def words_up_to(max_len: int, letters: str = "ab", min_len: int = 1):
             yield "".join(tup)
 
 
-def naive_solutions(exps, alphabet_size: int, max_total_len: int, distinct_only: bool = False):
-    """Four independent loops over non-empty words; the slow reference path.
+def naive_solutions(
+    exps, alphabet_size: int, max_total_len: int, distinct_only: bool = False,
+    allow_empty: bool = False,
+):
+    """Four independent loops over words; the slow reference path.
 
     Unlike the engine, u and v are enumerated freely (only pruned by the
-    length budget) and the two sides are compared verbatim.
+    length budget) and the two sides are compared verbatim.  Words are
+    non-empty unless ``allow_empty``, which still skips the all-empty
+    sides.
     """
     i, j, k = exps
     letters = "abcdefghijklmnopqrstuvwxyz"[:alphabet_size]
+    lo = 0 if allow_empty else 1
     sols = set()
     max_side = max_total_len // (i + k)
-    for x in words_up_to(max_side, letters):
+    for x in words_up_to(max_side, letters, min_len=lo):
         y_budget = (max_total_len - (i + k) * len(x)) // j
-        for y in words_up_to(y_budget, letters):
+        for y in words_up_to(y_budget, letters, min_len=lo):
             lhs = x * i + y * j + x * k
-            for u in words_up_to((len(lhs) - j) // (i + k), letters):
+            if not lhs:
+                continue
+            for u in words_up_to((len(lhs) - j * lo) // (i + k), letters, min_len=lo):
                 rem = len(lhs) - (i + k) * len(u)
                 if rem % j:
                     continue
                 lv = rem // j
-                if lv == 0:
+                if lv < lo:
                     continue
                 for v in words_up_to(lv, letters, min_len=lv):
                     if distinct_only and (u, v) == (x, y):

@@ -152,6 +152,17 @@ def test_criterion_8_conjecture_scan_informational():
     assert ok
 
 
+def test_conjecture_scan_bound_60_informational():
+    # beside criterion 8: the same open case, four triples, a larger bound
+    for exps in [(3, 2, 1), (4, 2, 2), (5, 2, 1), (5, 2, 3)]:
+        report = conjecture_scan(exps, 2, 60)
+        assert all(check(inst) and len(inst.lhs()) <= 60 for inst in report.solutions)
+        for inst in report.nonperiodic:
+            print(f"CONJECTURE COUNTEREXAMPLE at {exps}: x={inst.x!r} "
+                  f"y={inst.y!r} u={inst.u!r} v={inst.v!r}")
+    print("conjecture scan at (3,2,1), (4,2,2), (5,2,1), (5,2,3), bound 60: PASS")
+
+
 def test_criterion_9_determinism_across_shards(capsys):
     ok = True
     # criterion 1 commands

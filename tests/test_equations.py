@@ -65,6 +65,8 @@ def test_search_argument_validation():
         enumerate_solutions((2, 0, 1), 2, 18)  # v would be unconstrained
     with pytest.raises(ValueError):
         enumerate_solutions((2, -1, 1), 2, 18)
+    with pytest.raises(ValueError):
+        enumerate_solutions((2, 3, 1), 2, 18, shards=0)
 
 
 def test_forcing_desk_scale_sample():
@@ -111,6 +113,40 @@ def test_engine_matches_naive_oracle_small():
     for exps in [(1, 1, 1), (1, 2, 1), (2, 1, 1)]:
         got = {i.words() for i in iter_solutions(exps, 2, 8, distinct_only=False)}
         assert got == naive_solutions(exps, 2, 8)
+
+
+SMALL_TRIPLES = [
+    (i, j, k)
+    for i in range(6) for j in range(1, 7) for k in range(6)
+    if i + k >= 1 and i + j + k <= 6
+]
+
+
+@pytest.mark.parametrize("exps", SMALL_TRIPLES, ids=lambda e: "-".join(map(str, e)))
+def test_engine_matches_naive_oracle_every_small_triple(exps):
+    # the length-tuple solver against four free loops, i = 0 and k = 0 included
+    for alphabet_size, floor in [(2, 7), (3, 5)]:
+        bound = max(floor, sum(exps))
+        for distinct_only in (True, False):
+            got = {s.words() for s in iter_solutions(
+                exps, alphabet_size, bound, distinct_only=distinct_only)}
+            assert got == naive_solutions(exps, alphabet_size, bound, distinct_only), (
+                alphabet_size, bound, distinct_only)
+    for distinct_only in (True, False):
+        got = {s.words() for s in iter_solutions(
+            exps, 2, 6, distinct_only=distinct_only, allow_empty=True)}
+        assert got == naive_solutions(exps, 2, 6, distinct_only, allow_empty=True), distinct_only
+
+
+@pytest.mark.parametrize("exps,alphabet_size,bound,allow_empty", [
+    ((1, 2, 1), 2, 12, False),
+    ((0, 2, 1), 3, 8, False),
+    ((2, 1, 1), 2, 9, True),
+])
+def test_solution_order_is_lengths_then_words(exps, alphabet_size, bound, allow_empty):
+    sols = list(iter_solutions(exps, alphabet_size, bound, distinct_only=False,
+                               allow_empty=allow_empty))
+    assert sols == sorted(sols, key=lambda s: (len(s.x), len(s.y), s.x, s.y, len(s.u)))
 
 
 def test_known_witness_in_1_2_1():
