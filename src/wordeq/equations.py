@@ -26,10 +26,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from heapq import merge
-from itertools import permutations, product
+from itertools import product
 from typing import Iterator, NamedTuple
 
-from .words import alphabet, primitive_root
+from .words import alphabet, commutes
 
 
 class Exponents(NamedTuple):
@@ -69,11 +69,15 @@ def check(inst: EquationInstance) -> bool:
 
 
 def is_periodic_solution(inst: EquationInstance) -> bool:
-    """True iff the non-empty words among x, y, u, v share one primitive root."""
+    """True iff the non-empty words among x, y, u, v share one primitive root.
+
+    Non-empty words share a primitive root iff they commute, so every
+    word is tested against the first non-empty one.
+    """
     if not check(inst):
         raise ValueError("not a solution")
-    roots = {primitive_root(w) for w in inst.words() if w}
-    return len(roots) <= 1
+    first = next((w for w in inst.words() if w), "")
+    return all(commutes(first, w) for w in inst.words())
 
 
 def theorem_applies(exps: Exponents) -> bool:
@@ -189,32 +193,31 @@ def iter_solutions(
             yield EquationInstance(exps, x, y, u, v)
 
 
-def _letter_maps(words: tuple[str, ...], alphabet_size: int) -> Iterator[dict[str, str]]:
-    occurring = sorted(set("".join(words)))
-    for image in permutations(alphabet(alphabet_size), len(occurring)):
-        yield dict(zip(occurring, image))
-
-
-def orbit_tuples(inst: EquationInstance, alphabet_size: int) -> Iterator[tuple[str, str, str, str]]:
-    """All images of (x, y, u, v) under the declared symmetries.
+def canonical_instance(inst: EquationInstance, alphabet_size: int) -> EquationInstance:
+    """Lexicographically least member of the instance's symmetry orbit.
 
     Symmetries: relabelling the alphabet, swapping the two sides of the
     equation, and, when i == k, mirroring (reversing every word).  The
     mirror of a solution with i != k solves the reversed exponents and
     therefore stays out of this orbit.
+
+    Relabelling keeps word lengths, so the least relabelling of a tuple
+    names its letters a, b, c, ... in order of first occurrence; the
+    cost does not depend on the alphabet.
     """
+    letters = alphabet(alphabet_size)
     i, _, k = inst.exps
     base = [inst.words(), (inst.u, inst.v, inst.x, inst.y)]
     if i == k:
         base += [tuple(w[::-1] for w in t) for t in base]
+    images = []
     for t in base:
-        for mapping in _letter_maps(t, alphabet_size):
-            yield tuple("".join(mapping[c] for c in w) for w in t)
-
-
-def canonical_instance(inst: EquationInstance, alphabet_size: int) -> EquationInstance:
-    """Lexicographically least member of the instance's symmetry orbit."""
-    return EquationInstance(inst.exps, *min(orbit_tuples(inst, alphabet_size)))
+        seen = "".join(dict.fromkeys("".join(t)))
+        if len(seen) > alphabet_size:
+            raise ValueError(f"{len(seen)} distinct letters exceed the alphabet of {alphabet_size}")
+        table = str.maketrans(seen, letters[:len(seen)])
+        images.append(tuple(w.translate(table) for w in t))
+    return EquationInstance(inst.exps, *min(images))
 
 
 @dataclass(frozen=True)

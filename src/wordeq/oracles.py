@@ -10,6 +10,7 @@ documented desk-scale ranges.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
@@ -61,9 +62,12 @@ class _Recorder:
         self.failures: list[str] = []
 
     def record(self, ok: bool, describe: str) -> None:
-        self.cases += 1
-        if not ok and len(self.failures) < MAX_RECORDED_FAILURES:
-            self.failures.append(describe)
+        self.tally(1, 0 if ok else 1, describe)
+
+    def tally(self, cases: int, failed: int, describe: str) -> None:
+        self.cases += cases
+        room = MAX_RECORDED_FAILURES - len(self.failures)
+        self.failures.extend([describe] * min(failed, room))
 
     def result(self, name: str) -> OracleResult:
         return OracleResult(name, self.cases, tuple(self.failures))
@@ -110,40 +114,40 @@ def _code_tails(max_code_len: int) -> list[str]:
     return tails
 
 
-def check_code_prefix_bound(max_xy_total: int = 8, max_code_len: int = 4) -> OracleResult:
-    """Expansions starting with different code letters branch before |x|+|y| letters."""
+def _code_bound(max_xy_total: int, max_code_len: int, mirror: bool) -> OracleResult:
+    """Count x-led and y-led expansions sharing their first |x|+|y| letters.
+
+    Every pair of tails is one case.  The mirror runs on the reversed
+    code, since reversal maps the tail set onto itself.
+    """
     rec = _Recorder()
     tails = _code_tails(max_code_len)
-    for x, y in _noncommuting_pairs(max_xy_total - 1):
-        if len(x) + len(y) > max_xy_total:
-            continue
-        code = BinaryCode(x, y)
-        limit = len(x) + len(y)
-        heads_x = [code.expand("x" + t) for t in tails]
-        heads_y = [code.expand("y" + t) for t in tails]
-        for a in heads_x:
-            for b in heads_y:
-                clash = len(a) >= limit and len(b) >= limit and a[:limit] == b[:limit]
-                rec.record(not clash, f"x={x!r} y={y!r}: common prefix reaches {limit}")
-    return rec.result("code-prefix-bound")
+    side = "suffix" if mirror else "prefix"
+    letters = alphabet(2)
+    for x in all_words(max_xy_total - 1, letters):
+        for y in all_words(max_xy_total - len(x), letters):
+            if commutes(x, y):
+                continue
+            code = BinaryCode(x[::-1], y[::-1]) if mirror else BinaryCode(x, y)
+            limit = len(x) + len(y)
+            heads_x, heads_y = (
+                Counter(e[:limit] for e in map(code.expand, [c + t for t in tails])
+                        if len(e) >= limit)
+                for c in "xy"
+            )
+            clashes = sum(n * heads_y[h] for h, n in heads_x.items())
+            rec.tally(len(tails) ** 2, clashes, f"x={x!r} y={y!r}: common {side} reaches {limit}")
+    return rec.result(f"code-{side}-bound")
+
+
+def check_code_prefix_bound(max_xy_total: int = 8, max_code_len: int = 4) -> OracleResult:
+    """Expansions starting with different code letters branch before |x|+|y| letters."""
+    return _code_bound(max_xy_total, max_code_len, mirror=False)
 
 
 def check_code_suffix_bound(max_xy_total: int = 8, max_code_len: int = 4) -> OracleResult:
     """Mirror bound: expansions ending with different code letters branch from the right."""
-    rec = _Recorder()
-    tails = _code_tails(max_code_len)
-    for x, y in _noncommuting_pairs(max_xy_total - 1):
-        if len(x) + len(y) > max_xy_total:
-            continue
-        code = BinaryCode(x, y)
-        limit = len(x) + len(y)
-        ends_x = [code.expand(t + "x") for t in tails]
-        ends_y = [code.expand(t + "y") for t in tails]
-        for a in ends_x:
-            for b in ends_y:
-                clash = len(a) >= limit and len(b) >= limit and a[-limit:] == b[-limit:]
-                rec.record(not clash, f"x={x!r} y={y!r}: common suffix reaches {limit}")
-    return rec.result("code-suffix-bound")
+    return _code_bound(max_xy_total, max_code_len, mirror=True)
 
 
 def check_overlap_commutation(max_word_len: int = 10) -> OracleResult:
@@ -329,18 +333,19 @@ def check_straddling_factor_commutation(max_v_len: int = 4, max_exp: int = 3) ->
     return rec.result("straddling-factor-commutation")
 
 
-def check_aligned_prefix_difference(max_v_len: int = 4, max_exp: int = 3) -> OracleResult:
-    """Two prefix occurrences a u, b u in v^i with |u| >= |v| differ by a word commuting with v.
+def _aligned_difference(max_v_len: int, max_exp: int, mirror: bool) -> OracleResult:
+    """Compare the fronts of equal factors u of v^i, grouped by u.
 
-    The shorter front a is then a suffix of the longer front b, and b
-    with that suffix removed commutes with v.
+    The mirror scans (v reversed)^i, whose fronts are the reversed
+    tails of v^i; descriptions name the original v.
     """
     rec = _Recorder()
     for v in all_words(max_v_len, alphabet(2)):
+        w = v[::-1] if mirror else v
         for i in range(1, max_exp + 1):
-            s = v * i
+            s = w * i
             n = len(s)
-            for lu in range(len(v), n + 1):
+            for lu in range(len(w), n + 1):
                 spots: dict[str, list[int]] = {}
                 for a in range(n - lu + 1):
                     spots.setdefault(s[a:a + lu], []).append(a)
@@ -350,34 +355,23 @@ def check_aligned_prefix_difference(max_v_len: int = 4, max_exp: int = 3) -> Ora
                             if ai > bi:
                                 continue
                             front_a, front_b = s[:ai], s[:bi]
-                            ok = front_b.endswith(front_a) and commutes(
-                                front_b[:bi - ai], v
-                            )
+                            ok = front_b.endswith(front_a) and commutes(front_b[:bi - ai], w)
                             rec.record(ok, f"v={v!r} i={i} |u|={lu} a={ai} b={bi}")
-    return rec.result("aligned-prefix-difference")
+    return rec.result(f"aligned-{'suffix' if mirror else 'prefix'}-difference")
+
+
+def check_aligned_prefix_difference(max_v_len: int = 4, max_exp: int = 3) -> OracleResult:
+    """Two prefix occurrences a u, b u in v^i with |u| >= |v| differ by a word commuting with v.
+
+    The shorter front a is then a suffix of the longer front b, and b
+    with that suffix removed commutes with v.
+    """
+    return _aligned_difference(max_v_len, max_exp, mirror=False)
 
 
 def check_aligned_suffix_difference(max_v_len: int = 4, max_exp: int = 3) -> OracleResult:
     """Mirror statement for suffix occurrences u a, u b of v^i."""
-    rec = _Recorder()
-    for v in all_words(max_v_len, alphabet(2)):
-        for i in range(1, max_exp + 1):
-            s = v * i
-            n = len(s)
-            for lu in range(len(v), n + 1):
-                spots: dict[str, list[int]] = {}
-                for a in range(n - lu + 1):
-                    # tail of length a follows an occurrence of u at n - a - lu
-                    spots.setdefault(s[n - a - lu:n - a], []).append(a)
-                for positions in spots.values():
-                    for ai in positions:
-                        for bi in positions:
-                            if ai > bi:
-                                continue
-                            tail_a, tail_b = s[n - ai:], s[n - bi:]
-                            ok = tail_b.startswith(tail_a) and commutes(tail_b[ai:], v)
-                            rec.record(ok, f"v={v!r} i={i} |u|={lu} a={ai} b={bi}")
-    return rec.result("aligned-suffix-difference")
+    return _aligned_difference(max_v_len, max_exp, mirror=True)
 
 
 def run_lemma_suite(max_len: int = 6) -> list[OracleResult]:

@@ -4,7 +4,7 @@ These deliberately avoid the library's optimized code paths so the
 fast implementations are checked against independent computations.
 """
 
-from itertools import product
+from itertools import permutations, product
 
 
 def naive_primitive_root(w: str) -> str:
@@ -63,3 +63,25 @@ def naive_solutions(
                     if u * i + v * j + u * k == lhs:
                         sols.add((x, y, u, v))
     return sols
+
+
+def naive_orbit_minimum(exps, words, alphabet_size: int):
+    """Least image of (x, y, u, v) over the whole symmetry orbit, by brute force.
+
+    Tries every injective map from the occurring letters into the
+    alphabet, on the tuple, its side swap and, when i == k, the mirrors
+    of both.
+    """
+    i, _, k = exps
+    x, y, u, v = words
+    base = [(x, y, u, v), (u, v, x, y)]
+    if i == k:
+        base += [tuple(w[::-1] for w in t) for t in base]
+    letters = "abcdefghijklmnopqrstuvwxyz"[:alphabet_size]
+    images = []
+    for t in base:
+        occurring = sorted(set("".join(t)))
+        for image in permutations(letters, len(occurring)):
+            mapping = dict(zip(occurring, image))
+            images.append(tuple("".join(mapping[c] for c in w) for w in t))
+    return min(images)

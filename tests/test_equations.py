@@ -14,7 +14,7 @@ from wordeq.equations import (
     theorem_applies,
 )
 from wordeq.families import family_i1k1, family_j2
-from support import naive_solutions
+from support import naive_orbit_minimum, naive_primitive_root, naive_solutions
 
 
 def make(exps, x, y, u, v):
@@ -45,6 +45,14 @@ def test_is_periodic_solution():
     assert is_periodic_solution(make((1, 2, 1), "ab", "abab", "ab", "abab"))
     with pytest.raises(ValueError):
         is_periodic_solution(make((2, 3, 1), "ab", "a", "a", "ab"))
+
+
+@pytest.mark.parametrize("exps", [(1, 2, 1), (2, 1, 1), (1, 1, 1)])
+@pytest.mark.parametrize("allow_empty", [False, True])
+def test_periodic_iff_one_primitive_root(exps, allow_empty):
+    for inst in iter_solutions(exps, 3, 9, distinct_only=False, allow_empty=allow_empty):
+        roots = {naive_primitive_root(w) for w in inst.words() if w}
+        assert is_periodic_solution(inst) == (len(roots) <= 1), inst
 
 
 def test_theorem_applies():
@@ -205,6 +213,28 @@ def test_canonical_instance_is_orbit_minimum():
     assert canonical_instance(swapped, 2) == rep
     relabeled = make((1, 2, 1), "ababa", "b", "aba", "bab")
     assert canonical_instance(relabeled, 2) == rep
+
+
+@pytest.mark.parametrize("exps,alphabet_size,bound,allow_empty", [
+    ((1, 2, 1), 4, 12, False),
+    ((1, 1, 1), 3, 7, True),
+    ((2, 2, 1), 2, 25, False),
+    ((1, 2, 2), 2, 25, False),  # i != k: no mirror in the orbit
+])
+def test_canonical_instance_matches_brute_force_orbit(exps, alphabet_size, bound, allow_empty):
+    report = enumerate_solutions(exps, alphabet_size, bound, allow_empty=allow_empty)
+    nonperiodic = [inst for inst in report.solutions if not is_periodic_solution(inst)]
+    assert nonperiodic
+    for inst in nonperiodic:
+        expected = naive_orbit_minimum(exps, inst.words(), alphabet_size)
+        assert canonical_instance(inst, alphabet_size).words() == expected, inst
+
+
+def test_canonical_instance_ignores_unused_letters_and_rejects_overflow():
+    inst = make((1, 2, 1), "babab", "a", "bab", "aba")
+    assert canonical_instance(inst, 26) == canonical_instance(inst, 2)
+    with pytest.raises(ValueError):
+        canonical_instance(make((1, 2, 1), "abc", "a", "abc", "a"), 2)
 
 
 def test_nonperiodic_reps_invariant_under_symmetries():

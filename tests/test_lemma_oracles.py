@@ -1,5 +1,6 @@
 import pytest
 
+from wordeq.codes import BinaryCode
 from wordeq.oracles import (
     check_aligned_prefix_difference,
     check_aligned_suffix_difference,
@@ -53,6 +54,26 @@ def test_suite_shape():
     names = [r.name for r in results]
     assert len(set(names)) == 14
     assert all(r.passed for r in results)
+
+
+def test_suite_case_counts_at_knob_5():
+    # the mirrored oracles share their scan with the prefix ones and
+    # must still count exactly the cases of their own statement
+    assert [r.cases for r in run_lemma_suite(5)] == [
+        413, 60270, 60270, 1106, 210, 170, 106, 170, 100, 438, 1530, 976, 698, 698,
+    ]
+
+
+@pytest.mark.parametrize("oracle, side", [
+    (check_code_prefix_bound, "prefix"),
+    (check_code_suffix_bound, "suffix"),
+])
+def test_code_bound_records_first_failures(monkeypatch, oracle, side):
+    passing = oracle(max_xy_total=4, max_code_len=2)
+    monkeypatch.setattr(BinaryCode, "expand", lambda self, letters: "a" * 100)
+    failing = oracle(max_xy_total=4, max_code_len=2)
+    assert failing.cases == passing.cases
+    assert failing.failures == (f"x='a' y='b': common {side} reaches 2",) * 3
 
 
 def test_suite_rejects_bad_knob():
