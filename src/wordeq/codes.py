@@ -40,6 +40,20 @@ class BinaryCode:
     def word(self, letters: str) -> "CodeWord":
         return CodeWord(self, letters)
 
+    def expansions(self, max_code_len: int) -> list[tuple[str, str]]:
+        """(letters, expansion) for code lengths 1..max_code_len, in code_words order.
+
+        Each level extends the previous level's pairs by x and by y, so
+        every expansion costs one concatenation.
+        """
+        steps = (("x", self.x), ("y", self.y))
+        level = [("", "")]
+        table: list[tuple[str, str]] = []
+        for _ in range(max_code_len):
+            level = [(c + s, e + w) for c, e in level for s, w in steps]
+            table.extend(level)
+        return table
+
 
 @dataclass(frozen=True)
 class CodeWord:
@@ -169,24 +183,34 @@ def _centered_family(repeated: str, single: str, k: int) -> set[str]:
     return {repeated * i + single + repeated * (k - i) for i in range(k + 1)}
 
 
-def x_primitive_imprimitive_set(code: BinaryCode, max_code_len: int) -> ImprimitiveSet:
-    """Collect and classify the code-primitive imprimitive words up to a code length.
+def imprimitive_code_words(code: BinaryCode, max_code_len: int) -> list[tuple[str, int]]:
+    """Code-primitive words up to max_code_len letters whose expansion is a proper power.
+
+    Returns (letters, exponent of the expansion) in code_words order.  The
+    expansion is tested first, by rotation search as in primitive_root;
+    the code-letter test runs only on the rare imprimitive expansions.
+    """
+    found = []
+    for letters, e in code.expansions(max_code_len):
+        p = (e + e).find(e, 1)
+        if p < len(e) and is_primitive(letters):
+            found.append((letters, len(e) // p))
+    return found
+
+
+def classify_imprimitive_set(code: BinaryCode, table: list[tuple[str, int]]) -> ImprimitiveSet:
+    """Classify the members of code length >= 2 of an imprimitive_code_words table.
 
     All members share one code length k+1, so the bounded view either
     sees the complete family or nothing.  A set that matches neither
     centered family would contradict the classification and raises; that
     path is unreachable.
     """
-    if max_code_len < 2:
-        raise ValueError("max_code_len must be >= 2")
-    members = [
-        c for c in code_words(code, max_code_len, min_code_len=2)
-        if is_x_primitive(c) and not is_primitive(c.expansion)
-    ]
+    members = [letters for letters, _ in table if len(letters) >= 2]
     if not members:
         return ImprimitiveSet(SHAPE_EMPTY, None, ())
-    k = members[0].code_length() - 1
-    found = {c.letters for c in members}
+    k = len(members[0]) - 1
+    found = set(members)
     if found == _centered_family("x", "y", k):
         shape = SHAPE_X_CENTERED
     elif found == _centered_family("y", "x", k):
@@ -195,8 +219,14 @@ def x_primitive_imprimitive_set(code: BinaryCode, max_code_len: int) -> Imprimit
         raise RuntimeError(
             f"imprimitive-set shape violation for x={code.x!r} y={code.y!r}: {sorted(found)}"
         )
-    ordered = tuple(sorted(members, key=lambda c: c.letters))
-    return ImprimitiveSet(shape, k, ordered)
+    return ImprimitiveSet(shape, k, tuple(CodeWord(code, c) for c in sorted(members)))
+
+
+def x_primitive_imprimitive_set(code: BinaryCode, max_code_len: int) -> ImprimitiveSet:
+    """Collect and classify the code-primitive imprimitive words up to a code length."""
+    if max_code_len < 2:
+        raise ValueError("max_code_len must be >= 2")
+    return classify_imprimitive_set(code, imprimitive_code_words(code, max_code_len))
 
 
 @dataclass(frozen=True)

@@ -12,22 +12,21 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator
 
 from .codes import (
     BinaryCode,
-    code_words,
-    imprimitive_in_cross_set,
-    x_primitive_imprimitive_set,
+    CodeWord,
+    classify_imprimitive_set,
     classify_x_power,
+    imprimitive_code_words,
+    imprimitive_in_cross_set,
 )
 from .words import (
     all_words,
     alphabet,
     are_conjugate,
     commutes,
-    exponent,
     is_primitive,
     power_factors,
     primitive_root,
@@ -107,21 +106,17 @@ def check_periodicity_lemma(max_root_len: int = 5) -> OracleResult:
     return rec.result("periodicity-lemma")
 
 
-def _code_tails(max_code_len: int) -> list[str]:
-    tails = [""]
-    for n in range(1, max_code_len):
-        tails.extend("".join(t) for t in product("xy", repeat=n))
-    return tails
-
-
 def _code_bound(max_xy_total: int, max_code_len: int, mirror: bool) -> OracleResult:
     """Count x-led and y-led expansions sharing their first |x|+|y| letters.
 
-    Every pair of tails is one case.  The mirror runs on the reversed
-    code, since reversal maps the tail set onto itself.
+    The sequences x t and y t, with tails t of fewer than max_code_len
+    code letters (at least the empty tail), are the expansions table split
+    by first code letter; every pair of tails is one case.  The mirror runs
+    on the reversed code, since reversal maps the tail set onto itself.
     """
     rec = _Recorder()
-    tails = _code_tails(max_code_len)
+    code_len = max(1, max_code_len)
+    tail_pairs = (2 ** code_len - 1) ** 2
     side = "suffix" if mirror else "prefix"
     letters = alphabet(2)
     for x in all_words(max_xy_total - 1, letters):
@@ -130,13 +125,13 @@ def _code_bound(max_xy_total: int, max_code_len: int, mirror: bool) -> OracleRes
                 continue
             code = BinaryCode(x[::-1], y[::-1]) if mirror else BinaryCode(x, y)
             limit = len(x) + len(y)
+            table = code.expansions(code_len)
             heads_x, heads_y = (
-                Counter(e[:limit] for e in map(code.expand, [c + t for t in tails])
-                        if len(e) >= limit)
+                Counter(e[:limit] for seq, e in table if seq[0] == c and len(e) >= limit)
                 for c in "xy"
             )
             clashes = sum(n * heads_y[h] for h, n in heads_x.items())
-            rec.tally(len(tails) ** 2, clashes, f"x={x!r} y={y!r}: common {side} reaches {limit}")
+            rec.tally(tail_pairs, clashes, f"x={x!r} y={y!r}: common {side} reaches {limit}")
     return rec.result(f"code-{side}-bound")
 
 
@@ -201,41 +196,39 @@ def check_cross_set(max_word_len: int = 4, max_exp: int = 6) -> OracleResult:
     return rec.result("cross-set-imprimitivity")
 
 
-def check_imprimitive_conjugacy(max_word_len: int = 4, max_code_len: int = 5) -> OracleResult:
-    """Code-primitive imprimitive words are code-conjugate to a cross-set word.
+def _code_word_checks(max_word_len: int, max_code_len: int) -> list[OracleResult]:
+    """The three code-word oracles in one pass over the code pairs.
 
-    Beyond the code letters themselves, their existence also forces the
-    primitive roots of x and y to be non-conjugate.
+    Each code's table of code-primitive words with imprimitive expansions
+    is built once and read by all three: conjugacy into the cross set,
+    the centered shape of the set, and the power shape of each member.
     """
-    rec = _Recorder()
+    conjugacy, set_shape, power_shape = _Recorder(), _Recorder(), _Recorder()
     for x, y in _noncommuting_pairs(max_word_len):
         code = BinaryCode(x, y)
-        longer_member = False
-        for c in code_words(code, max_code_len):
-            if not is_primitive(c.letters) or is_primitive(c.expansion):
-                continue
-            n = len(c.letters)
-            in_cross = are_conjugate(c.letters, "x" * (n - 1) + "y") or are_conjugate(
-                c.letters, "y" * (n - 1) + "x"
+        pair = f"x={x!r} y={y!r}"
+        table = imprimitive_code_words(code, max_code_len)
+        for letters, e in table:
+            n = len(letters)
+            in_cross = are_conjugate(letters, "x" * (n - 1) + "y") or are_conjugate(
+                letters, "y" * (n - 1) + "x"
             )
-            rec.record(in_cross, f"x={x!r} y={y!r}: {c.letters} not conjugate into the cross set")
-            if n >= 2:
-                longer_member = True
-        if longer_member:
+            conjugacy.record(in_cross, f"{pair}: {letters} not conjugate into the cross set")
+            c = CodeWord(code, letters)
+            for i in range(2, e + 1):
+                if e % i:
+                    continue
+                shape = classify_x_power(c, i)
+                single = "y" if shape.repeated == "x" else "x"
+                rebuilt = shape.repeated * shape.k + single + shape.repeated * shape.ell
+                power_shape.record(rebuilt == letters, f"{pair}: {letters} vs {shape}")
+        if any(len(letters) >= 2 for letters, _ in table):
             roots_apart = not are_conjugate(primitive_root(x), primitive_root(y))
-            rec.record(roots_apart, f"x={x!r} y={y!r}: roots conjugate despite a member")
-    return rec.result("imprimitive-conjugacy")
-
-
-def check_imprimitive_set_shape(max_word_len: int = 4, max_code_len: int = 5) -> OracleResult:
-    """The collected code-primitive imprimitive set always has a centered shape."""
-    rec = _Recorder()
-    for x, y in _noncommuting_pairs(max_word_len):
-        code = BinaryCode(x, y)
+            conjugacy.record(roots_apart, f"{pair}: roots conjugate despite a member")
         try:
-            result = x_primitive_imprimitive_set(code, max_code_len)
+            result = classify_imprimitive_set(code, table)
         except RuntimeError as err:
-            rec.record(False, str(err))
+            set_shape.record(False, str(err))
             continue
         if result.shape == "empty":
             ok = result.k is None and not result.members
@@ -244,27 +237,33 @@ def check_imprimitive_set_shape(max_word_len: int = 4, max_code_len: int = 5) ->
             k = result.k or 0
             expected = {repeated * i + single + repeated * (k - i) for i in range(k + 1)}
             ok = k >= 1 and {c.letters for c in result.members} == expected
-        rec.record(ok, f"x={x!r} y={y!r}: {result.to_json_obj()}")
-    return rec.result("imprimitive-set-shape")
+        set_shape.record(ok, f"{pair}: {result.to_json_obj()}")
+    return [
+        conjugacy.result("imprimitive-conjugacy"),
+        set_shape.result("imprimitive-set-shape"),
+        power_shape.result("power-shape"),
+    ]
+
+
+def check_imprimitive_conjugacy(max_word_len: int = 4, max_code_len: int = 5) -> OracleResult:
+    """Code-primitive imprimitive words are code-conjugate to a cross-set word.
+
+    Beyond the code letters themselves, their existence also forces the
+    primitive roots of x and y to be non-conjugate.
+    """
+    return _code_word_checks(max_word_len, max_code_len)[0]
+
+
+def check_imprimitive_set_shape(max_word_len: int = 4, max_code_len: int = 5) -> OracleResult:
+    """The collected code-primitive imprimitive set always has a centered shape."""
+    if max_code_len < 2:
+        raise ValueError("max_code_len must be >= 2")
+    return _code_word_checks(max_word_len, max_code_len)[1]
 
 
 def check_power_shape(max_word_len: int = 4, max_code_len: int = 5) -> OracleResult:
     """A code-primitive word whose expansion is a proper power carries a single odd letter."""
-    rec = _Recorder()
-    for x, y in _noncommuting_pairs(max_word_len):
-        code = BinaryCode(x, y)
-        for c in code_words(code, max_code_len):
-            if not is_primitive(c.letters) or is_primitive(c.expansion):
-                continue
-            e = exponent(c.expansion)
-            for i in range(2, e + 1):
-                if e % i:
-                    continue
-                shape = classify_x_power(c, i)
-                single = "y" if shape.repeated == "x" else "x"
-                rebuilt = shape.repeated * shape.k + single + shape.repeated * shape.ell
-                rec.record(rebuilt == c.letters, f"x={x!r} y={y!r}: {c.letters} vs {shape}")
-    return rec.result("power-shape")
+    return _code_word_checks(max_word_len, max_code_len)[2]
 
 
 def check_prefix_power_absorption(max_word_len: int = 4, max_exp: int = 3) -> OracleResult:
@@ -392,9 +391,7 @@ def run_lemma_suite(max_len: int = 6) -> list[OracleResult]:
         check_overlap_commutation(max_word_len=max(2, 2 * (max_len - 1))),
         check_conjugacy_transfer(max_u_len=max(1, max_len - 1), max_z_len=max_len + 1),
         check_cross_set(max_word_len=word_cap, max_exp=max(1, max_len)),
-        check_imprimitive_conjugacy(max_word_len=word_cap, max_code_len=code_cap),
-        check_imprimitive_set_shape(max_word_len=word_cap, max_code_len=code_cap),
-        check_power_shape(max_word_len=word_cap, max_code_len=code_cap),
+        *_code_word_checks(max_word_len=word_cap, max_code_len=code_cap),
         check_prefix_power_absorption(max_word_len=word_cap, max_exp=3),
         check_short_prefix_absorption(max_word_len=word_cap, max_exp=3),
         check_straddling_factor_commutation(max_v_len=word_cap, max_exp=3),

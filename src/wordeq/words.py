@@ -93,8 +93,9 @@ def smallest_period(w: str) -> int:
 def primitive_root(w: str) -> str:
     """The shortest r with w == r**k for some k >= 1; |r| divides |w|.
 
-    Computed from the smallest period: the period is the root length
-    exactly when it divides |w|, otherwise w is primitive.
+    Found by rotation search: w equals its rotation by p exactly when p
+    is a multiple of the root length, so the first p >= 1 at which w
+    occurs in w w is that length (p == |w| when w is primitive).
 
     >>> primitive_root("abab")
     'ab'
@@ -103,10 +104,7 @@ def primitive_root(w: str) -> str:
     """
     if not w:
         raise ValueError("empty word has no primitive root")
-    p = smallest_period(w)
-    if len(w) % p == 0:
-        return w[:p]
-    return w
+    return w[:(w + w).find(w, 1)]
 
 
 def exponent(w: str) -> int:

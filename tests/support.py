@@ -6,6 +6,8 @@ fast implementations are checked against independent computations.
 
 from itertools import permutations, product
 
+from wordeq.codes import code_words
+
 
 def naive_primitive_root(w: str) -> str:
     """Try every divisor-length prefix by direct repetition."""
@@ -20,6 +22,20 @@ def naive_smallest_period(w: str) -> int:
         if all(w[t] == w[t + p] for t in range(len(w) - p)):
             return p
     raise ValueError("empty word")
+
+
+def naive_imprimitive_code_words(code, max_code_len: int):
+    """(letters, exponent) of the code-primitive words with imprimitive expansions.
+
+    Builds every code word, joins its expansion from scratch and takes
+    roots by divisor-prefix repetition.
+    """
+    found = []
+    for c in code_words(code, max_code_len):
+        root = naive_primitive_root(c.expansion)
+        if naive_primitive_root(c.letters) == c.letters and root != c.expansion:
+            found.append((c.letters, len(c.expansion) // len(root)))
+    return found
 
 
 def words_up_to(max_len: int, letters: str = "ab", min_len: int = 1):

@@ -11,11 +11,13 @@ from wordeq.codes import (
     code_words,
     count_factorizations,
     decode,
+    imprimitive_code_words,
     imprimitive_in_cross_set,
     is_x_primitive,
     x_primitive_imprimitive_set,
 )
 from wordeq.words import all_words, commutes, is_primitive
+from support import naive_imprimitive_code_words
 
 
 def test_binary_code_rejects_commuting_or_empty():
@@ -170,3 +172,17 @@ def test_code_words_enumeration():
     code = BinaryCode("a", "b")
     got = [c.letters for c in code_words(code, 2)]
     assert got == ["x", "y", "xx", "xy", "yx", "yy"]
+
+
+def test_expansion_table_matches_code_words():
+    # every non-commuting pair with |x|, |y| <= 3, code lengths up to 5
+    pairs = [(x, y) for x in all_words(3, "ab") for y in all_words(3, "ab") if not commutes(x, y)]
+    assert len(pairs) == 170
+    members = 0
+    for x, y in pairs:
+        code = BinaryCode(x, y)
+        assert code.expansions(5) == [(c.letters, c.expansion) for c in code_words(code, 5)]
+        table = imprimitive_code_words(code, 5)
+        assert table == naive_imprimitive_code_words(code, 5)
+        members += len(table)
+    assert members > 0

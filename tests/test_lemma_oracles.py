@@ -1,6 +1,7 @@
 import pytest
 
-from wordeq.codes import BinaryCode
+from wordeq import oracles
+from wordeq.codes import BinaryCode, PowerShape
 from wordeq.oracles import (
     check_aligned_prefix_difference,
     check_aligned_suffix_difference,
@@ -70,10 +71,45 @@ def test_suite_case_counts_at_knob_5():
 ])
 def test_code_bound_records_first_failures(monkeypatch, oracle, side):
     passing = oracle(max_xy_total=4, max_code_len=2)
-    monkeypatch.setattr(BinaryCode, "expand", lambda self, letters: "a" * 100)
+    expansions = BinaryCode.expansions
+    monkeypatch.setattr(
+        BinaryCode, "expansions",
+        lambda self, n: [(letters, "a" * 100) for letters, _ in expansions(self, n)],
+    )
     failing = oracle(max_xy_total=4, max_code_len=2)
     assert failing.cases == passing.cases
     assert failing.failures == (f"x='a' y='b': common {side} reaches 2",) * 3
+
+
+def test_suite_case_counts_at_knob_6():
+    assert [r.cases for r in run_lemma_suite(6)] == [
+        2483, 672750, 672750, 4262, 496, 842, 510, 842, 588, 1158, 6882, 3148, 2272, 2272,
+    ]
+
+
+def test_folded_code_word_pass_keeps_oracles_apart(monkeypatch):
+    # a wrong power shape must fail power-shape alone; the other two
+    # oracles read the same table and must not move
+    honest = run_lemma_suite(5)
+    monkeypatch.setattr(oracles, "classify_x_power", lambda c, i: PowerShape("x", 9, 9))
+    broken = run_lemma_suite(5)
+    for before, after in zip(honest, broken):
+        if before.name == "power-shape":
+            assert after.cases == before.cases > 0
+            assert not after.passed and len(after.failures) == 3
+        else:
+            assert after == before
+
+
+def test_code_word_oracles_at_code_length_one():
+    # one-letter code words: the set-shape oracle needs length 2 to see a
+    # member and refuses; the other two still scan the code letters
+    with pytest.raises(ValueError):
+        check_imprimitive_set_shape(max_word_len=3, max_code_len=1)
+    conjugacy = check_imprimitive_conjugacy(max_word_len=3, max_code_len=1)
+    power = check_power_shape(max_word_len=3, max_code_len=1)
+    assert (conjugacy.cases, conjugacy.passed) == (88, True)
+    assert (power.cases, power.passed) == (88, True)
 
 
 def test_suite_rejects_bad_knob():

@@ -10,6 +10,7 @@ from wordeq.words import (
     border_table,
     check_letters,
     commutes,
+    exponent,
     is_factor_of_power,
     is_primitive,
     longest_common_prefix,
@@ -84,6 +85,15 @@ def test_suffix_is_reversed_prefix():
 def test_primitive_root(w, root):
     assert naive_primitive_root(w) == root
     assert primitive_root(w) == root
+
+
+def test_rotation_search_root_matches_naive_exhaustive():
+    # binary words up to length 12 and ternary words up to length 7
+    for w in [*all_words(12, "ab"), *all_words(7, "abc")]:
+        root = naive_primitive_root(w)
+        assert primitive_root(w) == root
+        assert is_primitive(w) == (root == w)
+        assert exponent(w) == len(w) // len(root)
 
 
 def test_primitive_root_empty():
