@@ -10,9 +10,9 @@ Run: python demos/conjecture_scan.py
 
 from wordeq import conjecture_scan, split_even_j, enumerate_solutions
 
-print("== conjecture scan at bound 80 ==")
+print("== conjecture scan at bound 160 ==")
 for exps in [(3, 2, 1), (4, 2, 2), (5, 2, 1), (5, 2, 3)]:
-    report = conjecture_scan(exps, alphabet_size=2, max_total_len=80)
+    report = conjecture_scan(exps, alphabet_size=2, max_total_len=160)
     i, j, k = exps
     if report.periodic_only:
         print(f"  a^{i} b^{j} a^{k}: consistent with the conjecture "

@@ -16,6 +16,12 @@ classes; no word is guessed and checked.  A tuple with |u| = |x| forces
 u = x and v = y, so the trivial solutions are skipped without looking
 at any word.
 
+``enumerate_solutions`` never lists the solutions: it computes
+``total_solutions`` as the sum of alphabet^c over the tuples, and builds
+assignments only for the tuples that have a non-periodic solution, one
+per relabelling orbit (see ``enumerate_solutions`` for why that is
+exact).  ``iter_solutions`` stays the raw enumerator.
+
 The search runs in one process.  The ``shards`` argument is accepted and
 validated for compatibility but starts no processes, so reports are
 byte-identical for every shard count by construction.
@@ -27,6 +33,7 @@ import json
 from dataclasses import dataclass
 from heapq import merge
 from itertools import product
+from math import gcd
 from typing import Iterator, NamedTuple
 
 from .words import alphabet, commutes
@@ -118,36 +125,48 @@ def _length_blocks(
             yield lx, ly, uv
 
 
-def _position_classes(exps: Exponents, lx: int, ly: int, lu: int, lv: int) -> tuple[int, list[int]]:
+def _union_positions(exps: Exponents, lx: int, ly: int, lu: int, lv: int) -> tuple[int, list[int]]:
     """Union the positions of x, y, u, v that meet in x^i y^j x^k = u^i v^j u^k.
 
-    Returns the class count and the class of every position of x y u v,
-    read in that order; classes are numbered by first occurrence.  Every
-    position of u and v meets a position of x or y in the common value,
-    so each class meets x y and the numbering follows x y alone.
+    Positions are numbered along x y u v.  Returns the class count and
+    the union-find forest, in which parent[p] <= p and each root is the
+    first position of its class.
     """
     i, j, k = exps
     xs, ys = list(range(lx)), list(range(lx, lx + ly))
     us, vs = list(range(lx + ly, lx + ly + lu)), list(range(lx + ly + lu, lx + ly + lu + lv))
     parent = list(range(lx + ly + lu + lv))
+    count = len(parent)
     for p, q in zip(xs * i + ys * j + xs * k, us * i + vs * j + us * k):
         while p != parent[p]:
             parent[p] = p = parent[parent[p]]
         while q != parent[q]:
             parent[q] = q = parent[parent[q]]
-        # the smaller index becomes the root, so parent[p] <= p throughout
-        # and each root is the first position of its class
+        # the smaller index becomes the root
         if p < q:
             parent[q] = p
+            count -= 1
         elif q < p:
             parent[p] = q
+            count -= 1
+    return count, parent
+
+
+def _position_classes(exps: Exponents, lx: int, ly: int, lu: int, lv: int) -> tuple[int, list[int]]:
+    """The class count and the class of every position of x y u v, read in that order.
+
+    Classes are numbered by first occurrence.  Every position of u and v
+    meets a position of x or y in the common value, so each class meets
+    x y and the numbering follows x y alone.
+    """
+    count, parent = _union_positions(exps, lx, ly, lu, lv)
     label = []
-    count = 0
+    named = 0
     for p, q in enumerate(parent):
         root = parent[p] = parent[q]  # q <= p, so q already points at its root
         if root == p:
-            label.append(count)
-            count += 1
+            label.append(named)
+            named += 1
         else:
             label.append(label[root])
     return count, label
@@ -167,6 +186,46 @@ def _tuple_solutions(
     for assignment in product(letters, repeat=count):
         s = "".join([assignment[t] for t in label])
         yield s[:a], s[a:b], lu, s[b:c], s[c:]
+
+
+def _restricted_growth(count: int, size: int) -> Iterator[list[int]]:
+    """Every restricted-growth string of the given length with at most ``size`` blocks.
+
+    ``r[0] = 0`` and each later ``r[t]`` is at most ``1 + max(r[:t])`` and
+    below ``size``.  Every map from ``count`` classes into ``size``
+    letters is a relabelling of exactly one such string.  One list is
+    yielded each time, updated in place.
+    """
+    r = [0] * count
+    top = [0] * count  # top[t] == max(r[:t + 1])
+    while True:
+        yield r
+        t = count - 1
+        while t > 0 and (r[t] > top[t - 1] or r[t] == size - 1):
+            t -= 1
+        if t == 0:
+            return
+        r[t] += 1
+        top[t] = max(top[t - 1], r[t])
+        r[t + 1:] = [0] * (count - t - 1)
+        top[t + 1:] = [top[t]] * (count - t - 1)
+
+
+def _orbit_solutions(
+    exps: Exponents, letters: str, lx: int, ly: int, lu: int, lv: int
+) -> Iterator[EquationInstance]:
+    """One solution with the given four lengths per relabelling orbit.
+
+    Classes are numbered by first occurrence in x y, so each restricted-
+    growth assignment names the letters of x y u v in order of first
+    occurrence.
+    """
+    count, label = _position_classes(exps, lx, ly, lu, lv)
+    a, b, c = lx, lx + ly, lx + ly + lu
+    for growth in _restricted_growth(count, len(letters)):
+        assignment = [letters[r] for r in growth]
+        s = "".join([assignment[t] for t in label])
+        yield EquationInstance(exps, s[:a], s[a:b], s[b:c], s[c:])
 
 
 def iter_solutions(
@@ -224,17 +283,24 @@ def canonical_instance(inst: EquationInstance, alphabet_size: int) -> EquationIn
 class SolutionReport:
     """Classified output of the enumeration.
 
-    ``solutions`` holds every raw quadruple in deterministic order;
-    ``nonperiodic`` holds one canonical representative per symmetry
-    orbit of the non-periodic ones.
+    ``total_solutions`` counts the raw quadruples; ``nonperiodic`` holds
+    one canonical representative per symmetry orbit of the non-periodic
+    ones.  ``solutions`` re-runs the raw search on each access.
     """
 
     exps: Exponents
     alphabet_size: int
     bound: int
     total_solutions: int
-    solutions: tuple[EquationInstance, ...]
     nonperiodic: tuple[EquationInstance, ...]
+    distinct_only: bool
+    allow_empty: bool
+
+    @property
+    def solutions(self) -> Iterator[EquationInstance]:
+        """Every raw quadruple in ``iter_solutions`` order, found afresh."""
+        return iter_solutions(self.exps, self.alphabet_size, self.bound,
+                              distinct_only=self.distinct_only, allow_empty=self.allow_empty)
 
     @property
     def periodic_only(self) -> bool:
@@ -266,26 +332,55 @@ def enumerate_solutions(
     allow_empty: bool = False,
     shards: int = 1,
 ) -> SolutionReport:
-    """Find every solution within the bound and classify it.
+    """Count the solutions within the bound and find the non-periodic orbits.
 
     The bound limits the length of the common value x^i y^j x^k.  With
     ``distinct_only`` the trivial solutions (x, y) == (u, v) are skipped.
     ``shards`` must be >= 1 and is otherwise ignored: the search runs in
     one process, so the report is the same for any shard count.
+
+    Each length tuple t = (|x|, |y|, |u|, |v|) is decided from its class
+    count c(t), without listing its a^c(t) solutions (a the alphabet
+    size).  Let g = gcd(t).
+
+    - c(m t) = m c(t).  In the m-scaled system every word starts at a
+      multiple of m in the common value, so each position equality joins
+      two positions of the same residue mod m, and the positions of
+      residue r join exactly as the unscaled positions do.  So
+      c(t) = g c(t / g), and c is computed once per primitive tuple.
+    - Exactly a^g solutions of t are periodic: every common root has a
+      length dividing g, so they are the powers of the a^g words s of
+      length g, and each s gives one solution.
+    - So t has a non-periodic solution iff c(t / g) > 1, and only those
+      tuples get assignments, one per relabelling orbit.
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")
     exps = Exponents(*exps)
-    solutions = tuple(iter_solutions(
-        exps, alphabet_size, max_total_len, distinct_only=distinct_only, allow_empty=allow_empty
-    ))
+    _validate_search_args(exps, alphabet_size, max_total_len)
+    letters = alphabet(alphabet_size)
+    primitive_classes: dict[tuple[int, int, int, int], int] = {}
+    total = 0
     reps: dict[tuple[str, str, str, str], EquationInstance] = {}
-    for inst in solutions:
-        if not is_periodic_solution(inst):
-            rep = canonical_instance(inst, alphabet_size)
-            reps[rep.words()] = rep
+    for lx, ly, uv in _length_blocks(exps, max_total_len, allow_empty):
+        for lu, lv in uv:
+            if distinct_only and lu == lx:
+                continue
+            g = gcd(lx, ly, lu, lv)
+            key = (lx // g, ly // g, lu // g, lv // g)
+            count = primitive_classes.get(key)
+            if count is None:
+                count = primitive_classes[key] = _union_positions(exps, *key)[0]
+            total += alphabet_size ** (g * count)
+            if count == 1:
+                continue
+            for inst in _orbit_solutions(exps, letters, lx, ly, lu, lv):
+                if not is_periodic_solution(inst):
+                    rep = canonical_instance(inst, alphabet_size)
+                    reps[rep.words()] = rep
     nonperiodic = tuple(reps[key] for key in sorted(reps))
-    return SolutionReport(exps, alphabet_size, max_total_len, len(solutions), solutions, nonperiodic)
+    return SolutionReport(exps, alphabet_size, max_total_len, total, nonperiodic,
+                          distinct_only, allow_empty)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ fast implementations are checked against independent computations.
 from itertools import permutations, product
 
 from wordeq.codes import code_words
+from wordeq.equations import canonical_instance, is_periodic_solution, iter_solutions
 
 
 def naive_primitive_root(w: str) -> str:
@@ -101,3 +102,23 @@ def naive_orbit_minimum(exps, words, alphabet_size: int):
             mapping = dict(zip(occurring, image))
             images.append(tuple("".join(mapping[c] for c in w) for w in t))
     return min(images)
+
+
+def listed_report(
+    exps, alphabet_size: int, max_total_len: int, distinct_only: bool = True,
+    allow_empty: bool = False,
+):
+    """(total, orbits) of the bounded search by listing every raw solution.
+
+    Counts the solutions of ``iter_solutions`` one by one and classifies
+    each with ``is_periodic_solution``; ``orbits`` holds the sorted
+    canonical representatives of the non-periodic ones.
+    """
+    total = 0
+    reps = set()
+    for inst in iter_solutions(exps, alphabet_size, max_total_len,
+                               distinct_only=distinct_only, allow_empty=allow_empty):
+        total += 1
+        if not is_periodic_solution(inst):
+            reps.add(canonical_instance(inst, alphabet_size).words())
+    return total, sorted(reps)

@@ -1,8 +1,15 @@
+from math import gcd
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordeq.equations import (
     EquationInstance,
     Exponents,
+    _length_blocks,
+    _position_classes,
+    _tuple_solutions,
     canonical_instance,
     check,
     conjecture_scan,
@@ -14,7 +21,7 @@ from wordeq.equations import (
     theorem_applies,
 )
 from wordeq.families import family_i1k1, family_j2
-from support import naive_orbit_minimum, naive_primitive_root, naive_solutions
+from support import listed_report, naive_orbit_minimum, naive_primitive_root, naive_solutions
 
 
 def make(exps, x, y, u, v):
@@ -144,6 +151,110 @@ def test_engine_matches_naive_oracle_every_small_triple(exps):
         got = {s.words() for s in iter_solutions(
             exps, 2, 6, distinct_only=distinct_only, allow_empty=True)}
         assert got == naive_solutions(exps, 2, 6, distinct_only, allow_empty=True), distinct_only
+
+
+@pytest.mark.parametrize("exps", SMALL_TRIPLES, ids=lambda e: "-".join(map(str, e)))
+def test_counted_report_matches_listed_every_small_triple(exps):
+    # total_solutions comes from class counts; the reference lists every solution
+    cases = [(a, max(floor, sum(exps)), d, False) for a, floor in [(2, 7), (3, 5)] for d in (True, False)]
+    cases += [(2, 6, d, True) for d in (True, False)]
+    for alphabet_size, bound, distinct_only, allow_empty in cases:
+        report = enumerate_solutions(exps, alphabet_size, bound,
+                                     distinct_only=distinct_only, allow_empty=allow_empty)
+        total, orbits = listed_report(exps, alphabet_size, bound, distinct_only, allow_empty)
+        assert report.total_solutions == total, (alphabet_size, bound, distinct_only, allow_empty)
+        assert [inst.words() for inst in report.nonperiodic] == orbits
+
+
+ALPHABET_CASES = [
+    ((1, 2, 1), 12, True, False),
+    ((2, 2, 1), 25, True, False),
+    ((1, 3, 1), 17, True, False),
+    ((1, 1, 1), 7, True, False),
+    ((1, 1, 1), 5, False, False),
+    ((2, 1, 1), 6, True, True),
+    ((0, 1, 1), 4, True, False),
+]
+ALPHABET_26_CASES = [
+    ((1, 2, 1), 10, True, False),
+    ((1, 1, 1), 4, False, False),
+    ((1, 1, 1), 4, True, True),
+    ((2, 2, 1), 8, False, False),
+    ((0, 1, 1), 3, True, False),
+]
+
+
+@pytest.mark.parametrize("alphabet_size", [2, 3, 4, 5, 6, 26])
+def test_orbits_match_listed_reference_across_alphabets(alphabet_size):
+    # one restricted-growth assignment per relabelling orbit finds every orbit
+    cases = ALPHABET_26_CASES if alphabet_size == 26 else ALPHABET_CASES
+    for exps, bound, distinct_only, allow_empty in cases:
+        report = enumerate_solutions(exps, alphabet_size, bound,
+                                     distinct_only=distinct_only, allow_empty=allow_empty)
+        total, orbits = listed_report(exps, alphabet_size, bound, distinct_only, allow_empty)
+        assert report.total_solutions == total, exps
+        assert [inst.words() for inst in report.nonperiodic] == orbits, exps
+
+
+def test_counting_pins_1_2_1_at_alphabet_26():
+    # counted, not listed: listing these solutions takes minutes and about 1 GB
+    report = enumerate_solutions((1, 2, 1), 26, 16)
+    assert report.total_solutions == 2_829_112
+    assert len(report.nonperiodic) == 43
+
+
+@pytest.mark.parametrize("exps,alphabet_size,bound,distinct_only,allow_empty", [
+    ((1, 2, 1), 2, 12, True, False),
+    ((1, 3, 1), 3, 9, False, False),
+    ((2, 1, 1), 2, 7, True, True),
+    ((0, 1, 1), 2, 6, False, True),
+])
+def test_report_solutions_rerun_the_raw_search(exps, alphabet_size, bound, distinct_only, allow_empty):
+    report = enumerate_solutions(exps, alphabet_size, bound,
+                                 distinct_only=distinct_only, allow_empty=allow_empty)
+    expected = list(iter_solutions(exps, alphabet_size, bound,
+                                   distinct_only=distinct_only, allow_empty=allow_empty))
+    assert list(report.solutions) == expected
+    assert list(report.solutions) == expected  # each access searches afresh
+    assert report.total_solutions == len(expected)
+
+
+@st.composite
+def length_tuples(draw, bound=12):
+    """Exponents with j >= 1 and i + k >= 1, and one length tuple of theirs within the bound."""
+    i = draw(st.integers(0, 3))
+    k = draw(st.integers(0 if i else 1, 3))
+    exps = Exponents(i, draw(st.integers(1, 3)), k)
+    tuples = [(lx, ly, lu, lv)
+              for lx, ly, uv in _length_blocks(exps, max(bound, sum(exps)), True) for lu, lv in uv]
+    return exps, draw(st.sampled_from(tuples))
+
+
+@settings(max_examples=200, deadline=None)
+@given(length_tuples(), st.integers(1, 4))
+def test_class_count_scales_with_the_tuple(case, m):
+    exps, t = case
+    assert _position_classes(exps, *(m * n for n in t))[0] == m * _position_classes(exps, *t)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(length_tuples(bound=8), st.sampled_from([2, 3]))
+def test_exactly_alphabet_to_the_gcd_assignments_are_periodic(case, alphabet_size):
+    exps, t = case
+    count = _position_classes(exps, *t)[0]
+    solutions = [EquationInstance(exps, x, y, u, v)
+                 for x, y, _, u, v in _tuple_solutions(exps, "abc"[:alphabet_size], *t)]
+    assert len(solutions) == alphabet_size ** count
+    periodic = sum(is_periodic_solution(inst) for inst in solutions)
+    assert periodic == alphabet_size ** gcd(*t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_TRIPLES), st.integers(0, 4), st.integers(3, 6))
+def test_verdict_does_not_depend_on_the_alphabet(exps, extra, alphabet_size):
+    bound = sum(exps) + extra
+    binary = forcing_verdict(exps, 2, bound).forced_up_to_bound
+    assert forcing_verdict(exps, alphabet_size, bound).forced_up_to_bound == binary
 
 
 @pytest.mark.parametrize("exps,alphabet_size,bound,allow_empty", [
