@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -39,13 +38,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _default_shards() -> int:
-    env = os.environ.get("WORDEQ_SHARDS", "")
-    if env.isdigit() and int(env) >= 1:
-        return int(env)
-    return os.cpu_count() or 1
-
-
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--i", type=int, required=True, help="left exponent")
     p.add_argument("--j", type=int, required=True, help="middle exponent")
@@ -53,8 +45,8 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alphabet", type=int, default=2, help="alphabet size (default 2)")
     p.add_argument("--max-len", type=int, required=True,
                    help="bound on the length of the common value x^i y^j x^k")
-    p.add_argument("--shards", type=int, default=None,
-                   help="shard count, >= 1 (default: WORDEQ_SHARDS or processor count); "
+    p.add_argument("--shards", type=int, default=1,
+                   help="shard count, >= 1 (default 1); "
                         "accepted for compatibility, the search runs in one process")
 
 
@@ -114,8 +106,6 @@ def _validate_search(parser: argparse.ArgumentParser, args: argparse.Namespace) 
         parser.error("--alphabet must be between 2 and 26")
     if args.max_len < exps.i + exps.j + exps.k:
         parser.error(f"--max-len must be at least i + j + k = {exps.i + exps.j + exps.k}")
-    if args.shards is None:
-        args.shards = _default_shards()
     if args.shards < 1:
         parser.error("--shards must be >= 1")
     return exps

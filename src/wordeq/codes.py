@@ -77,31 +77,32 @@ class CodeWord:
 def decode(w: str, code: BinaryCode) -> CodeWord | None:
     """Factor w over {x, y}, or None when no factorization exists.
 
-    Backtracking over the two possible prefixes at each position.  Since
-    {x, y} is a code the factorization, when it exists, is unique; the
-    property suite certifies uniqueness independently.
+    A forward pass marks every position at which a product of x's and
+    y's can end, and the factorization is read back from the end of w.
+    Since {x, y} is a code every marked prefix has a unique
+    factorization, so at most one code letter ends it at a marked
+    position and the read-back follows that one; the property suite
+    certifies uniqueness independently.
     """
     x, y = code.x, code.y
-    out: list[str] = []
-
-    def walk(pos: int) -> bool:
-        if pos == len(w):
-            return True
-        if w.startswith(x, pos):
+    reach = [True] + [False] * len(w)
+    for pos in range(len(w)):
+        if reach[pos]:
+            for c in (x, y):
+                if w.startswith(c, pos):
+                    reach[pos + len(c)] = True
+    if not reach[-1]:
+        return None
+    out = []
+    pos = len(w)
+    while pos:
+        if w.endswith(x, 0, pos) and reach[pos - len(x)]:
             out.append("x")
-            if walk(pos + len(x)):
-                return True
-            out.pop()
-        if w.startswith(y, pos):
+            pos -= len(x)
+        else:
             out.append("y")
-            if walk(pos + len(y)):
-                return True
-            out.pop()
-        return False
-
-    if walk(0):
-        return CodeWord(code, "".join(out))
-    return None
+            pos -= len(y)
+    return CodeWord(code, "".join(reversed(out)))
 
 
 def count_factorizations(w: str, x: str, y: str) -> int:

@@ -17,10 +17,11 @@ u = x and v = y, so the trivial solutions are skipped without looking
 at any word.
 
 ``enumerate_solutions`` never lists the solutions: it computes
-``total_solutions`` as the sum of alphabet^c over the tuples, and builds
-assignments only for the tuples that have a non-periodic solution, one
-per relabelling orbit (see ``enumerate_solutions`` for why that is
-exact).  ``iter_solutions`` stays the raw enumerator.
+``total_solutions`` as the sum of alphabet^c over the tuples, visits a
+tuple and its side swap once, and builds assignments only for the
+tuples that have a non-periodic solution, one per relabelling orbit
+(see ``enumerate_solutions`` for why that is exact).  ``iter_solutions``
+stays the raw enumerator.
 
 The search runs in one process.  The ``shards`` argument is accepted and
 validated for compatibility but starts no processes, so reports are
@@ -353,6 +354,12 @@ def enumerate_solutions(
       length g, and each s gives one solution.
     - So t has a non-periodic solution iff c(t / g) > 1, and only those
       tuples get assignments, one per relabelling orbit.
+    - The side swap (|u|, |v|, |x|, |y|) joins the same positions, so it
+      has the same class count, and swapping the sides maps its solutions
+      one to one onto those of t, keeping periodicity.  The swapped
+      solutions lie in the orbits ``canonical_instance`` already folds,
+      so only tuples with |u| >= |x| are visited, and those with
+      |u| > |x| count twice.
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")
@@ -364,14 +371,14 @@ def enumerate_solutions(
     reps: dict[tuple[str, str, str, str], EquationInstance] = {}
     for lx, ly, uv in _length_blocks(exps, max_total_len, allow_empty):
         for lu, lv in uv:
-            if distinct_only and lu == lx:
+            if lu < lx or (distinct_only and lu == lx):
                 continue
             g = gcd(lx, ly, lu, lv)
             key = (lx // g, ly // g, lu // g, lv // g)
             count = primitive_classes.get(key)
             if count is None:
                 count = primitive_classes[key] = _union_positions(exps, *key)[0]
-            total += alphabet_size ** (g * count)
+            total += (2 if lu > lx else 1) * alphabet_size ** (g * count)
             if count == 1:
                 continue
             for inst in _orbit_solutions(exps, letters, lx, ly, lu, lv):

@@ -106,43 +106,42 @@ def check_periodicity_lemma(max_root_len: int = 5) -> OracleResult:
     return rec.result("periodicity-lemma")
 
 
-def _code_bound(max_xy_total: int, max_code_len: int, mirror: bool) -> OracleResult:
-    """Count x-led and y-led expansions sharing their first |x|+|y| letters.
+def _code_bounds(max_xy_total: int, max_code_len: int) -> list[OracleResult]:
+    """Count expansions sharing their first, or last, |x|+|y| letters across code letters.
 
-    The sequences x t and y t, with tails t of fewer than max_code_len
-    code letters (at least the empty tail), are the expansions table split
-    by first code letter; every pair of tails is one case.  The mirror runs
-    on the reversed code, since reversal maps the tail set onto itself.
+    The prefix bound compares x t with y t' and the suffix bound t x with
+    t' y, for tails t, t' of fewer than max_code_len code letters (at
+    least the empty tail); every pair of tails is one case.  Both read one
+    expansions table per code: heads split by first code letter, tails by
+    last.  Reversal maps the tail set onto itself, so the suffix cases are
+    the prefix cases of the reversed code.
     """
-    rec = _Recorder()
+    prefix, suffix = _Recorder(), _Recorder()
     code_len = max(1, max_code_len)
     tail_pairs = (2 ** code_len - 1) ** 2
-    side = "suffix" if mirror else "prefix"
     letters = alphabet(2)
     for x in all_words(max_xy_total - 1, letters):
         for y in all_words(max_xy_total - len(x), letters):
             if commutes(x, y):
                 continue
-            code = BinaryCode(x[::-1], y[::-1]) if mirror else BinaryCode(x, y)
             limit = len(x) + len(y)
-            table = code.expansions(code_len)
-            heads_x, heads_y = (
-                Counter(e[:limit] for seq, e in table if seq[0] == c and len(e) >= limit)
-                for c in "xy"
-            )
-            clashes = sum(n * heads_y[h] for h, n in heads_x.items())
-            rec.tally(tail_pairs, clashes, f"x={x!r} y={y!r}: common {side} reaches {limit}")
-    return rec.result(f"code-{side}-bound")
+            table = [(s, e) for s, e in BinaryCode(x, y).expansions(code_len) if len(e) >= limit]
+            for rec, side, end, cut in ((prefix, "prefix", 0, slice(limit)),
+                                        (suffix, "suffix", -1, slice(-limit, None))):
+                ends_x, ends_y = (Counter(e[cut] for s, e in table if s[end] == c) for c in "xy")
+                clashes = sum(n * ends_y[h] for h, n in ends_x.items())
+                rec.tally(tail_pairs, clashes, f"x={x!r} y={y!r}: common {side} reaches {limit}")
+    return [prefix.result("code-prefix-bound"), suffix.result("code-suffix-bound")]
 
 
 def check_code_prefix_bound(max_xy_total: int = 8, max_code_len: int = 4) -> OracleResult:
     """Expansions starting with different code letters branch before |x|+|y| letters."""
-    return _code_bound(max_xy_total, max_code_len, mirror=False)
+    return _code_bounds(max_xy_total, max_code_len)[0]
 
 
 def check_code_suffix_bound(max_xy_total: int = 8, max_code_len: int = 4) -> OracleResult:
     """Mirror bound: expansions ending with different code letters branch from the right."""
-    return _code_bound(max_xy_total, max_code_len, mirror=True)
+    return _code_bounds(max_xy_total, max_code_len)[1]
 
 
 def check_overlap_commutation(max_word_len: int = 10) -> OracleResult:
@@ -386,8 +385,7 @@ def run_lemma_suite(max_len: int = 6) -> list[OracleResult]:
     code_cap = max(2, max_len - 1)
     return [
         check_periodicity_lemma(max_root_len=max(2, max_len - 1)),
-        check_code_prefix_bound(max_xy_total=max_len + 2, max_code_len=max(1, max_len - 2)),
-        check_code_suffix_bound(max_xy_total=max_len + 2, max_code_len=max(1, max_len - 2)),
+        *_code_bounds(max_xy_total=max_len + 2, max_code_len=max(1, max_len - 2)),
         check_overlap_commutation(max_word_len=max(2, 2 * (max_len - 1))),
         check_conjugacy_transfer(max_u_len=max(1, max_len - 1), max_z_len=max_len + 1),
         check_cross_set(max_word_len=word_cap, max_exp=max(1, max_len)),

@@ -167,9 +167,11 @@ def test_console_entry_point():
     assert obj["forced_up_to_bound"] is True
 
 
-def test_env_var_sets_default_shards(capsys, monkeypatch):
+def test_shards_env_var_leaves_output_unchanged(capsys, monkeypatch):
+    # WORDEQ_SHARDS has no effect: --shards defaults to 1 and starts no processes
+    argv = ("solve", "--i", "1", "--j", "3", "--k", "1", "--max-len", "12", "--format", "json")
+    monkeypatch.delenv("WORDEQ_SHARDS", raising=False)
+    plain = run_cli(capsys, *argv)
     monkeypatch.setenv("WORDEQ_SHARDS", "2")
-    code, out, _ = run_cli(capsys, "solve", "--i", "1", "--j", "3", "--k", "1",
-                           "--max-len", "12", "--format", "json")
-    assert code in (0, 2)
-    json.loads(out)
+    assert run_cli(capsys, *argv) == plain
+    json.loads(plain[1])

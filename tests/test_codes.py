@@ -47,9 +47,11 @@ def test_decode_examples():
 
 
 def test_decode_agrees_with_factorization_count():
-    # every w of length <= 12 for a handful of codes, checking the
-    # none/unique split against the independent counting DP
-    for x, y in [("ab", "a"), ("aba", "baab"), ("ab", "ba"), ("aab", "b"), ("a", "bab")]:
+    # every w of length <= 12 for every code with |x|, |y| <= 2 and a
+    # handful of longer ones, checking the none/unique split against the
+    # independent counting DP
+    short = [(x, y) for x in all_words(2, "ab") for y in all_words(2, "ab") if not commutes(x, y)]
+    for x, y in short + [("aba", "baab"), ("aab", "b"), ("a", "bab")]:
         code = BinaryCode(x, y)
         for w in all_words(12, "ab", min_len=0):
             n = count_factorizations(w, x, y)
@@ -59,6 +61,17 @@ def test_decode_agrees_with_factorization_count():
                 assert got is None
             else:
                 assert got is not None and got.expansion == w
+
+
+def test_decode_long_words_without_recursion():
+    # words far longer than the default recursion limit of 1000
+    code = BinaryCode("a", "ab")
+    assert decode("a" * 1200 + "b", code).letters == "x" * 1199 + "y"
+    assert decode("a" * 2000 + "bb", code) is None
+    letters = ("xxy" * 700 + "yx" * 300)[:2500]
+    for x, y in [("a", "ab"), ("ab", "a"), ("aba", "baab"), ("a", "b")]:
+        code = BinaryCode(x, y)
+        assert decode(code.expand(letters), code).letters == letters
 
 
 def test_unique_decoding_all_small_codes():

@@ -237,6 +237,14 @@ def test_class_count_scales_with_the_tuple(case, m):
     assert _position_classes(exps, *(m * n for n in t))[0] == m * _position_classes(exps, *t)[0]
 
 
+@settings(max_examples=200, deadline=None)
+@given(length_tuples())
+def test_side_swap_keeps_the_class_count(case):
+    # enumerate_solutions visits a tuple or its side swap, never both
+    exps, (lx, ly, lu, lv) = case
+    assert _position_classes(exps, lu, lv, lx, ly)[0] == _position_classes(exps, lx, ly, lu, lv)[0]
+
+
 @settings(max_examples=100, deadline=None)
 @given(length_tuples(bound=8), st.sampled_from([2, 3]))
 def test_exactly_alphabet_to_the_gcd_assignments_are_periodic(case, alphabet_size):

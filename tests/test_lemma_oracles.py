@@ -81,6 +81,31 @@ def test_code_bound_records_first_failures(monkeypatch, oracle, side):
     assert failing.failures == (f"x='a' y='b': common {side} reaches 2",) * 3
 
 
+@pytest.mark.parametrize("clashing, expansion", [
+    ("prefix", lambda letters: "a" * 100 + letters[-1]),
+    ("suffix", lambda letters: letters[0] + "a" * 100),
+])
+def test_joint_code_bound_pass_keeps_the_twins_apart(monkeypatch, clashing, expansion):
+    # one table feeds both code bounds: expansions that clash only at the
+    # front must fail the prefix bound alone, and only at the back the
+    # suffix bound alone
+    def both():
+        return [check_code_prefix_bound(4, 2), check_code_suffix_bound(4, 2)]
+
+    passing = both()
+    expansions = BinaryCode.expansions
+    monkeypatch.setattr(
+        BinaryCode, "expansions",
+        lambda self, n: [(letters, expansion(letters)) for letters, _ in expansions(self, n)],
+    )
+    for before, after in zip(passing, both()):
+        assert after.cases == before.cases > 0
+        if after.name == f"code-{clashing}-bound":
+            assert after.failures == (f"x='a' y='b': common {clashing} reaches 2",) * 3
+        else:
+            assert after == before
+
+
 def test_suite_case_counts_at_knob_6():
     assert [r.cases for r in run_lemma_suite(6)] == [
         2483, 672750, 672750, 4262, 496, 842, 510, 842, 588, 1158, 6882, 3148, 2272, 2272,
