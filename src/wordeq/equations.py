@@ -10,17 +10,17 @@ The search fixes the four lengths first.  For each (|x|, |y|, |u|, |v|)
 with (i + k)|x| + j|y| = (i + k)|u| + j|v| = n within the bound, the
 two sides spell one word of length n, so the positions of x, y, u and v
 that meet at each of its n positions must carry the same letter.
-Union-find over those positions gives c classes, and the solutions with
-these lengths are exactly the alphabet^c letter assignments to the
-classes; no word is guessed and checked.  A tuple with |u| = |x| forces
-u = x and v = y, so the trivial solutions are skipped without looking
-at any word.
+Union-find over those positions (run on the tuple divided by its gcd g,
+then copied per residue mod g) gives c classes, and the solutions are
+exactly the alphabet^c letter assignments to the classes; no word is
+guessed and checked.  A tuple with |u| = |x| forces u = x and v = y, so
+the trivial solutions are skipped without looking at any word.
 
 ``enumerate_solutions`` never lists the solutions: it computes
 ``total_solutions`` as the sum of alphabet^c over the tuples, visits a
-tuple and its side swap once, and builds assignments only for the
-tuples that have a non-periodic solution, one per relabelling orbit
-(see ``enumerate_solutions`` for why that is exact).  ``iter_solutions``
+tuple and its side swap once, and builds words only for non-periodic
+assignments, told by their class labels, one per relabelling orbit (see
+``enumerate_solutions`` for why that is exact).  ``iter_solutions``
 stays the raw enumerator.
 
 The search runs in one process.  The ``shards`` argument is accepted and
@@ -156,11 +156,16 @@ def _union_positions(exps: Exponents, lx: int, ly: int, lu: int, lv: int) -> tup
 def _position_classes(exps: Exponents, lx: int, ly: int, lu: int, lv: int) -> tuple[int, list[int]]:
     """The class count and the class of every position of x y u v, read in that order.
 
-    Classes are numbered by first occurrence.  Every position of u and v
-    meets a position of x or y in the common value, so each class meets
-    x y and the numbering follows x y alone.
+    Only t / g, g = gcd(t), is unioned: every word starts at a multiple
+    of g, so position q g + r of t joins as position q of t / g does,
+    within residue r.  Class C g + r is (primitive class C, residue r).
+    Classes are numbered by first occurrence; each meets x y, since
+    every position of u and v meets one of x or y.  A primitive class's
+    g residues first occur together and in order, so the scaled
+    numbering is first occurrence too.
     """
-    count, parent = _union_positions(exps, lx, ly, lu, lv)
+    g = gcd(lx, ly, lu, lv)
+    count, parent = _union_positions(exps, lx // g, ly // g, lu // g, lv // g)
     label = []
     named = 0
     for p, q in enumerate(parent):
@@ -170,7 +175,7 @@ def _position_classes(exps: Exponents, lx: int, ly: int, lu: int, lv: int) -> tu
             named += 1
         else:
             label.append(label[root])
-    return count, label
+    return g * count, [C * g + r for C in label for r in range(g)]
 
 
 def _tuple_solutions(
@@ -210,23 +215,6 @@ def _restricted_growth(count: int, size: int) -> Iterator[list[int]]:
         top[t] = max(top[t - 1], r[t])
         r[t + 1:] = [0] * (count - t - 1)
         top[t + 1:] = [top[t]] * (count - t - 1)
-
-
-def _orbit_solutions(
-    exps: Exponents, letters: str, lx: int, ly: int, lu: int, lv: int
-) -> Iterator[EquationInstance]:
-    """One solution with the given four lengths per relabelling orbit.
-
-    Classes are numbered by first occurrence in x y, so each restricted-
-    growth assignment names the letters of x y u v in order of first
-    occurrence.
-    """
-    count, label = _position_classes(exps, lx, ly, lu, lv)
-    a, b, c = lx, lx + ly, lx + ly + lu
-    for growth in _restricted_growth(count, len(letters)):
-        assignment = [letters[r] for r in growth]
-        s = "".join([assignment[t] for t in label])
-        yield EquationInstance(exps, s[:a], s[a:b], s[b:c], s[c:])
 
 
 def iter_solutions(
@@ -351,9 +339,11 @@ def enumerate_solutions(
       c(t) = g c(t / g), and c is computed once per primitive tuple.
     - Exactly a^g solutions of t are periodic: every common root has a
       length dividing g, so they are the powers of the a^g words s of
-      length g, and each s gives one solution.
+      length g.  Each s gives the one solution whose class C g + r (see
+      ``_position_classes``) carries s[r].
     - So t has a non-periodic solution iff c(t / g) > 1, and only those
-      tuples get assignments, one per relabelling orbit.
+      tuples get assignments, one per relabelling orbit; a growth string
+      that repeats its first g letters is periodic and skipped unbuilt.
     - The side swap (|u|, |v|, |x|, |y|) joins the same positions, so it
       has the same class count, and swapping the sides maps its solutions
       one to one onto those of t, keeping periodicity.  The swapped
@@ -381,10 +371,15 @@ def enumerate_solutions(
             total += (2 if lu > lx else 1) * alphabet_size ** (g * count)
             if count == 1:
                 continue
-            for inst in _orbit_solutions(exps, letters, lx, ly, lu, lv):
-                if not is_periodic_solution(inst):
-                    rep = canonical_instance(inst, alphabet_size)
-                    reps[rep.words()] = rep
+            _, label = _position_classes(exps, lx, ly, lu, lv)
+            a, b, c = lx, lx + ly, lx + ly + lu
+            for growth in _restricted_growth(g * count, alphabet_size):
+                if growth == growth[:g] * count:
+                    continue  # the letter depends on the residue alone: periodic
+                s = "".join([letters[growth[t]] for t in label])
+                rep = canonical_instance(EquationInstance(exps, s[:a], s[a:b], s[b:c], s[c:]),
+                                         alphabet_size)
+                reps[rep.words()] = rep
     nonperiodic = tuple(reps[key] for key in sorted(reps))
     return SolutionReport(exps, alphabet_size, max_total_len, total, nonperiodic,
                           distinct_only, allow_empty)

@@ -217,7 +217,11 @@ def _code_word_checks(max_word_len: int, max_code_len: int) -> list[OracleResult
             for i in range(2, e + 1):
                 if e % i:
                     continue
-                shape = classify_x_power(c, i)
+                try:
+                    shape = classify_x_power(c, i)
+                except RuntimeError as err:
+                    power_shape.record(False, str(err))
+                    continue
                 single = "y" if shape.repeated == "x" else "x"
                 rebuilt = shape.repeated * shape.k + single + shape.repeated * shape.ell
                 power_shape.record(rebuilt == letters, f"{pair}: {letters} vs {shape}")

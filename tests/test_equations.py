@@ -1,7 +1,7 @@
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wordeq.equations import (
@@ -9,7 +9,9 @@ from wordeq.equations import (
     Exponents,
     _length_blocks,
     _position_classes,
+    _restricted_growth,
     _tuple_solutions,
+    _union_positions,
     canonical_instance,
     check,
     conjecture_scan,
@@ -233,8 +235,61 @@ def length_tuples(draw, bound=12):
 @settings(max_examples=200, deadline=None)
 @given(length_tuples(), st.integers(1, 4))
 def test_class_count_scales_with_the_tuple(case, m):
+    # the position union-find on the full tuple stays the reference
     exps, t = case
-    assert _position_classes(exps, *(m * n for n in t))[0] == m * _position_classes(exps, *t)[0]
+    scaled = [m * n for n in t]
+    count = _union_positions(exps, *scaled)[0]
+    assert count == m * _union_positions(exps, *t)[0]
+    assert _position_classes(exps, *scaled)[0] == count
+
+
+@settings(max_examples=200, deadline=None)
+@given(length_tuples(), st.integers(1, 4))
+def test_scaled_labels_partition_the_positions_as_union_find_does(case, m):
+    # _position_classes unions t / g only; its labels must name the same
+    # classes as the union-find forest of the full tuple, by first occurrence
+    exps, t = case
+    scaled = [m * n for n in t]
+    count, label = _position_classes(exps, *scaled)
+    _, parent = _union_positions(exps, *scaled)
+    roots = []
+    for p in range(len(parent)):
+        while p != parent[p]:
+            p = parent[p]
+        roots.append(p)
+    assert len(label) == len(roots)
+    assert len(set(zip(label, roots))) == len(set(label)) == len(set(roots)) == count
+    top = -1
+    for c in label[:scaled[0] + scaled[1]]:
+        assert c <= top + 1
+        top = max(top, c)
+    assert top == count - 1
+
+
+@st.composite
+def nonperiodic_tuples(draw, bound=12):
+    """Exponents and a length tuple of theirs with c(t / g) > 1 and at most 9 classes."""
+    exps, _ = draw(length_tuples(bound))
+    tuples = [(lx, ly, lu, lv)
+              for lx, ly, uv in _length_blocks(exps, bound, True) for lu, lv in uv
+              if gcd(lx, ly, lu, lv) < _union_positions(exps, lx, ly, lu, lv)[0] <= 9]
+    assume(tuples)
+    return exps, draw(st.sampled_from(tuples))
+
+
+@settings(max_examples=60, deadline=None)
+@given(nonperiodic_tuples(), st.sampled_from([2, 3]))
+def test_residue_rule_agrees_with_the_periodicity_classifier(case, alphabet_size):
+    # enumerate_solutions skips a growth string as periodic when the
+    # letter of class C g + r depends on the residue r alone
+    exps, t = case
+    g = gcd(*t)
+    count, label = _position_classes(exps, *t)
+    a, b, c = t[0], t[0] + t[1], t[0] + t[1] + t[2]
+    for growth in _restricted_growth(count, alphabet_size):
+        s = "".join("abc"[growth[p]] for p in label)
+        inst = EquationInstance(exps, s[:a], s[a:b], s[b:c], s[c:])
+        assert (growth == growth[:g] * (count // g)) == is_periodic_solution(inst), inst
 
 
 @settings(max_examples=200, deadline=None)

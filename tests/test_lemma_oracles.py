@@ -126,6 +126,29 @@ def test_folded_code_word_pass_keeps_oracles_apart(monkeypatch):
             assert after == before
 
 
+def test_violated_power_shape_lemma_is_recorded(monkeypatch, capsys):
+    # a word breaking the lemma makes classify_x_power raise; the suite
+    # must record that on power-shape and go on, not crash
+    from wordeq import cli
+
+    honest = run_lemma_suite(5)
+
+    def violated(c, i):
+        raise RuntimeError(f"power-shape violation: {c.letters}")
+
+    monkeypatch.setattr(oracles, "classify_x_power", violated)
+    broken = run_lemma_suite(5)
+    for before, after in zip(honest, broken):
+        if before.name == "power-shape":
+            assert after.cases == before.cases > 0
+            assert not after.passed and len(after.failures) <= 3
+            assert after.failures[0].startswith("power-shape violation: ")
+        else:
+            assert after == before
+    assert cli.main(["lemmas", "--max-len", "5"]) == 3
+    assert "power-shape violated" in capsys.readouterr().err
+
+
 def test_code_word_oracles_at_code_length_one():
     # one-letter code words: the set-shape oracle needs length 2 to see a
     # member and refuses; the other two still scan the code letters
