@@ -9,6 +9,7 @@ humans and may change.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -54,7 +55,9 @@ def _add_format_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text", help="output format")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = _Parser(prog="wordeq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

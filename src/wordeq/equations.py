@@ -16,12 +16,13 @@ exactly the alphabet^c letter assignments to the classes; no word is
 guessed and checked.  A tuple with |u| = |x| forces u = x and v = y, so
 the trivial solutions are skipped without looking at any word.
 
-``enumerate_solutions`` never lists the solutions: it computes
-``total_solutions`` as the sum of alphabet^c over the tuples, visits a
-tuple and its side swap once, and builds words only for non-periodic
-assignments, told by their class labels, one per relabelling orbit (see
-``enumerate_solutions`` for why that is exact).  ``iter_solutions``
-stays the raw enumerator.
+``enumerate_solutions`` never lists the solutions: it walks the
+primitive tuples (gcd 1) and their multiples within the bound, unions
+each primitive tuple once, computes ``total_solutions`` as the sum of
+alphabet^c over the tuples, visits a tuple and its side swap once, and
+builds words only for non-periodic assignments, told by their class
+labels, one per relabelling orbit (see ``enumerate_solutions`` for why
+that is exact).  ``iter_solutions`` stays the raw enumerator.
 
 The search runs in one process.  The ``shards`` argument is accepted and
 validated for compatibility but starts no processes, so reports are
@@ -153,19 +154,8 @@ def _union_positions(exps: Exponents, lx: int, ly: int, lu: int, lv: int) -> tup
     return count, parent
 
 
-def _position_classes(exps: Exponents, lx: int, ly: int, lu: int, lv: int) -> tuple[int, list[int]]:
-    """The class count and the class of every position of x y u v, read in that order.
-
-    Only t / g, g = gcd(t), is unioned: every word starts at a multiple
-    of g, so position q g + r of t joins as position q of t / g does,
-    within residue r.  Class C g + r is (primitive class C, residue r).
-    Classes are numbered by first occurrence; each meets x y, since
-    every position of u and v meets one of x or y.  A primitive class's
-    g residues first occur together and in order, so the scaled
-    numbering is first occurrence too.
-    """
-    g = gcd(lx, ly, lu, lv)
-    count, parent = _union_positions(exps, lx // g, ly // g, lu // g, lv // g)
+def _first_occurrence_labels(parent: list[int]) -> list[int]:
+    """The class of every position of a ``_union_positions`` forest, numbered by first occurrence."""
     label = []
     named = 0
     for p, q in enumerate(parent):
@@ -175,7 +165,32 @@ def _position_classes(exps: Exponents, lx: int, ly: int, lu: int, lv: int) -> tu
             named += 1
         else:
             label.append(label[root])
-    return g * count, [C * g + r for C in label for r in range(g)]
+    return label
+
+
+def _residue_labels(label: list[int], g: int) -> list[int]:
+    """The classes of the g-scaled tuple, given the labels of the unscaled one.
+
+    Every word of the scaled tuple starts at a multiple of g, so position
+    q g + r joins as position q of the unscaled tuple does, within
+    residue r.  Class C g + r is (unscaled class C, residue r).  An
+    unscaled class's g residues first occur together and in order, so
+    first-occurrence labels stay first-occurrence labels.
+    """
+    return [C * g + r for C in label for r in range(g)]
+
+
+def _position_classes(exps: Exponents, lx: int, ly: int, lu: int, lv: int) -> tuple[int, list[int]]:
+    """The class count and the class of every position of x y u v, read in that order.
+
+    Only t / g, g = gcd(t), is unioned; ``_residue_labels`` copies its
+    classes per residue mod g.  Classes are numbered by first
+    occurrence; each meets x y, since every position of u and v meets
+    one of x or y.
+    """
+    g = gcd(lx, ly, lu, lv)
+    count, parent = _union_positions(exps, lx // g, ly // g, lu // g, lv // g)
+    return g * count, _residue_labels(_first_occurrence_labels(parent), g)
 
 
 def _tuple_solutions(
@@ -336,11 +351,13 @@ def enumerate_solutions(
       multiple of m in the common value, so each position equality joins
       two positions of the same residue mod m, and the positions of
       residue r join exactly as the unscaled positions do.  So
-      c(t) = g c(t / g), and c is computed once per primitive tuple.
+      c(t) = g c(t / g): only primitive tuples t0 (gcd 1) are unioned,
+      once each, and every multiple g t0 within the bound is decided
+      from c(t0), with the classes of ``_residue_labels``.
     - Exactly a^g solutions of t are periodic: every common root has a
       length dividing g, so they are the powers of the a^g words s of
       length g.  Each s gives the one solution whose class C g + r (see
-      ``_position_classes``) carries s[r].
+      ``_residue_labels``) carries s[r].
     - So t has a non-periodic solution iff c(t / g) > 1, and only those
       tuples get assignments, one per relabelling orbit; a growth string
       that repeats its first g letters is periodic and skipped unbuilt.
@@ -355,31 +372,30 @@ def enumerate_solutions(
         raise ValueError("shards must be >= 1")
     exps = Exponents(*exps)
     _validate_search_args(exps, alphabet_size, max_total_len)
+    i, j, k = exps
     letters = alphabet(alphabet_size)
-    primitive_classes: dict[tuple[int, int, int, int], int] = {}
     total = 0
     reps: dict[tuple[str, str, str, str], EquationInstance] = {}
     for lx, ly, uv in _length_blocks(exps, max_total_len, allow_empty):
+        multiples = range(1, max_total_len // ((i + k) * lx + j * ly) + 1)
         for lu, lv in uv:
-            if lu < lx or (distinct_only and lu == lx):
+            if lu < lx or (distinct_only and lu == lx) or gcd(lx, ly, lu, lv) > 1:
                 continue
-            g = gcd(lx, ly, lu, lv)
-            key = (lx // g, ly // g, lu // g, lv // g)
-            count = primitive_classes.get(key)
-            if count is None:
-                count = primitive_classes[key] = _union_positions(exps, *key)[0]
-            total += (2 if lu > lx else 1) * alphabet_size ** (g * count)
+            count, parent = _union_positions(exps, lx, ly, lu, lv)
+            total += (2 if lu > lx else 1) * sum(alphabet_size ** (g * count) for g in multiples)
             if count == 1:
                 continue
-            _, label = _position_classes(exps, lx, ly, lu, lv)
-            a, b, c = lx, lx + ly, lx + ly + lu
-            for growth in _restricted_growth(g * count, alphabet_size):
-                if growth == growth[:g] * count:
-                    continue  # the letter depends on the residue alone: periodic
-                s = "".join([letters[growth[t]] for t in label])
-                rep = canonical_instance(EquationInstance(exps, s[:a], s[a:b], s[b:c], s[c:]),
-                                         alphabet_size)
-                reps[rep.words()] = rep
+            label = _first_occurrence_labels(parent)
+            for g in multiples:
+                scaled = _residue_labels(label, g)
+                a, b, c = g * lx, g * (lx + ly), g * (lx + ly + lu)
+                for growth in _restricted_growth(g * count, alphabet_size):
+                    if growth == growth[:g] * count:
+                        continue  # the letter depends on the residue alone: periodic
+                    s = "".join([letters[growth[t]] for t in scaled])
+                    rep = canonical_instance(EquationInstance(exps, s[:a], s[a:b], s[b:c], s[c:]),
+                                             alphabet_size)
+                    reps[rep.words()] = rep
     nonperiodic = tuple(reps[key] for key in sorted(reps))
     return SolutionReport(exps, alphabet_size, max_total_len, total, nonperiodic,
                           distinct_only, allow_empty)

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from wordeq import cli
 from wordeq.cli import main
 from wordeq.equations import EquationInstance, Exponents, canonical_instance
 
@@ -154,6 +155,30 @@ def test_cli_output_identical_across_shards(capsys):
         assert code == 2
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+def test_shared_parser_gives_the_output_of_fresh_parsers(capsys, monkeypatch):
+    # main builds its parser once per process; a fresh parser per call must not differ
+    verify = ["verify", "--i", "2", "--j", "3", "--k", "1", "--max-len", "18", "--format", "json"]
+    calls = [verify, ["solve", "--i", "2", "--j", "3", "--k", "1", "--max-len", "3"],
+             ["lemmas", "--max-len", "2"], verify]
+
+    def run_all():
+        results = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            results.append((code, *capsys.readouterr()))
+        return results
+
+    assert cli.build_parser() is cli.build_parser()
+    shared = run_all()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = run_all()
+    assert [code for code, _, _ in shared] == [0, 64, 0, 0]
+    assert shared == fresh
 
 
 def test_console_entry_point():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from wordeq import equations
 from wordeq.equations import (
     EquationInstance,
     Exponents,
@@ -184,12 +185,20 @@ ALPHABET_26_CASES = [
     ((2, 2, 1), 8, False, False),
     ((0, 1, 1), 3, True, False),
 ]
+# each reaches a multiple g t0, g >= 2, of a primitive tuple t0 with
+# c(t0) > 1: (2, 6, 4, 2) and (2, 6, 6, 2)
+MULTIPLE_CASES = [
+    ((1, 1, 1), 10, True, False),
+    ((1, 2, 1), 20, True, False),
+]
 
 
 @pytest.mark.parametrize("alphabet_size", [2, 3, 4, 5, 6, 26])
 def test_orbits_match_listed_reference_across_alphabets(alphabet_size):
     # one restricted-growth assignment per relabelling orbit finds every orbit
     cases = ALPHABET_26_CASES if alphabet_size == 26 else ALPHABET_CASES
+    if alphabet_size == 2:
+        cases = cases + MULTIPLE_CASES
     for exps, bound, distinct_only, allow_empty in cases:
         report = enumerate_solutions(exps, alphabet_size, bound,
                                      distinct_only=distinct_only, allow_empty=allow_empty)
@@ -203,6 +212,31 @@ def test_counting_pins_1_2_1_at_alphabet_26():
     report = enumerate_solutions((1, 2, 1), 26, 16)
     assert report.total_solutions == 2_829_112
     assert len(report.nonperiodic) == 43
+
+
+def test_enumerate_unions_each_primitive_tuple_once(monkeypatch):
+    # multiples of a primitive tuple are decided from its one union-find
+    calls = []
+    union_positions = equations._union_positions
+
+    def counting(exps, *t):
+        calls.append(t)
+        return union_positions(exps, *t)
+
+    monkeypatch.setattr(equations, "_union_positions", counting)
+    for exps, scan, bound in [((1, 2, 1), enumerate_solutions, 20), ((3, 2, 1), conjecture_scan, 60)]:
+        calls.clear()
+        scan(exps, 2, bound)
+        i, j, k = exps
+        primitive = set()
+        for lx in range(1, bound // (i + k) + 1):
+            for ly in range(1, (bound - (i + k) * lx) // j + 1):
+                n = (i + k) * lx + j * ly
+                for lu in range(lx + 1, n // (i + k) + 1):  # |u| = |x| is trivial
+                    lv, rem = divmod(n - (i + k) * lu, j)
+                    if lv and not rem and gcd(lx, ly, lu, lv) == 1:
+                        primitive.add((lx, ly, lu, lv))
+        assert sorted(calls) == sorted(primitive), exps
 
 
 @pytest.mark.parametrize("exps,alphabet_size,bound,distinct_only,allow_empty", [
