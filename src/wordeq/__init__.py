@@ -10,6 +10,7 @@ of it; see the README.
 
 from .words import (
     ConjugacyDecomposition,
+    ParameterError,
     all_words,
     alphabet,
     are_conjugate,

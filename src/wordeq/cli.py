@@ -2,8 +2,10 @@
 
 Exit codes: 0 success (or pattern forced), 2 non-periodic witnesses
 found, 3 lemma oracle violation, 64 usage error, 65 invalid parameter
-words.  JSON output is the stable machine interface; text output is for
-humans and may change.
+words.  The library decides which parameter values are in range: a
+``ParameterError`` it raises becomes a usage error (64) carrying its
+message, while any other exception stays a traceback.  JSON output is
+the stable machine interface; text output is for humans and may change.
 """
 
 from __future__ import annotations
@@ -18,13 +20,14 @@ from .equations import (
     EquationInstance,
     Exponents,
     SolutionReport,
+    _validate_search_args,
     enumerate_solutions,
     forcing_verdict,
     theorem_applies,
 )
 from .families import CommutingParametersError, family_i1k1, family_j2, validate_family_grid
 from .oracles import run_lemma_suite
-from .words import check_letters
+from .words import ParameterError, check_letters
 
 EX_OK = 0
 EX_WITNESS = 2
@@ -99,21 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate_search(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Exponents:
-    exps = Exponents(args.i, args.j, args.k)
-    if min(exps) < 0:
-        parser.error("exponents must be non-negative")
-    if exps.j == 0 or exps.i + exps.k == 0:
-        parser.error("need j >= 1 and i + k >= 1")
-    if not 2 <= args.alphabet <= 26:
-        parser.error("--alphabet must be between 2 and 26")
-    if args.max_len < exps.i + exps.j + exps.k:
-        parser.error(f"--max-len must be at least i + j + k = {exps.i + exps.j + exps.k}")
-    if args.shards < 1:
-        parser.error("--shards must be >= 1")
-    return exps
-
-
 def _print_witnesses(insts: Sequence[EquationInstance]) -> None:
     for inst in insts:
         print(f"witness: x={inst.x!r} y={inst.y!r} u={inst.u!r} v={inst.v!r}")
@@ -131,7 +119,9 @@ def _report_text(report: SolutionReport) -> None:
 
 
 def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    exps = _validate_search(parser, args)
+    exps = Exponents(args.i, args.j, args.k)
+    # checked before the note, so a usage error never comes with it
+    _validate_search_args(exps, args.alphabet, args.max_len, args.shards)
     if not theorem_applies(exps):
         print(
             f"note: exponents ({exps.i},{exps.j},{exps.k}) are outside the proven "
@@ -148,9 +138,8 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 
 def cmd_solve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    exps = _validate_search(parser, args)
     report = enumerate_solutions(
-        exps, args.alphabet, args.max_len,
+        (args.i, args.j, args.k), args.alphabet, args.max_len,
         distinct_only=args.distinct_only, shards=args.shards,
     )
     if args.format == "json":
@@ -168,12 +157,7 @@ def _family_json(family: str, params: dict, inst: EquationInstance) -> str:
 
 
 def cmd_family(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    if not 2 <= args.alphabet <= 26:
-        parser.error("--alphabet must be between 2 and 26")
-
     if args.family == "grid":
-        if args.max_len < 1 or args.param_k < 1 or args.param_j < 1:
-            parser.error("grid bounds must be >= 1")
         summary = validate_family_grid(args.max_len, args.param_k, args.param_j, args.alphabet)
         if args.format == "json":
             obj = {
@@ -197,21 +181,14 @@ def cmd_family(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     second = args.beta if args.family == "j2" else args.gamma
     if second is None:
         parser.error(f"{second_name} is required for family {args.family}")
-    try:
-        check_letters(args.alpha, args.alphabet)
-        check_letters(second, args.alphabet)
-    except ValueError as err:
-        parser.error(str(err))
+    check_letters(args.alpha, args.alphabet)
+    check_letters(second, args.alphabet)
 
     try:
         if args.family == "j2":
-            if args.param_k < 1:
-                parser.error("--param-k must be >= 1")
             inst = family_j2(args.alpha, second, args.param_k)
             params = {"alpha": args.alpha, "beta": second, "k": args.param_k}
         else:
-            if args.param_j < 3 or args.param_j % 2 == 0:
-                parser.error("--param-j must be odd and >= 3")
             inst = family_i1k1(args.alpha, second, args.param_j)
             params = {"alpha": args.alpha, "gamma": second, "j": args.param_j}
     except CommutingParametersError as err:
@@ -232,8 +209,6 @@ def cmd_family(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 
 def cmd_lemmas(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    if args.max_len < 1:
-        parser.error("--max-len must be >= 1")
     results = run_lemma_suite(args.max_len)
     if args.format == "json":
         print(json.dumps([r.to_json_obj() for r in results], indent=2))
@@ -259,7 +234,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         "family": cmd_family,
         "lemmas": cmd_lemmas,
     }
-    return handlers[args.command](args.subparser, args)
+    try:
+        return handlers[args.command](args.subparser, args)
+    except ParameterError as err:
+        args.subparser.error(str(err))
 
 
 if __name__ == "__main__":

@@ -38,7 +38,7 @@ from itertools import product
 from math import gcd
 from typing import Iterator, NamedTuple
 
-from .words import alphabet, commutes
+from .words import ParameterError, alphabet, commutes
 
 
 class Exponents(NamedTuple):
@@ -95,16 +95,22 @@ def theorem_applies(exps: Exponents) -> bool:
     return j >= 3 and i + k >= 3 and i >= 1 and k >= 1
 
 
-def _validate_search_args(exps: Exponents, alphabet_size: int, max_total_len: int) -> None:
+def _validate_search_args(
+    exps: Exponents, alphabet_size: int, max_total_len: int, shards: int = 1
+) -> str:
+    """Raise ParameterError unless the search parameters are in range; return the letters."""
     i, j, k = exps
     if i < 0 or j < 0 or k < 0:
-        raise ValueError("exponents must be non-negative")
+        raise ParameterError("exponents must be non-negative")
     if j == 0 or i + k == 0:
-        raise ValueError("need j >= 1 and i + k >= 1, otherwise one unknown pair is unconstrained")
-    if alphabet_size < 2:
-        raise ValueError("alphabet_size must be >= 2")
+        raise ParameterError(
+            "need j >= 1 and i + k >= 1, otherwise one unknown pair is unconstrained")
+    letters = alphabet(alphabet_size)
     if max_total_len < i + j + k:
-        raise ValueError(f"bound too small: need max_total_len >= {i + j + k}")
+        raise ParameterError(f"bound too small: need at least i + j + k = {i + j + k}")
+    if shards < 1:
+        raise ParameterError("shards must be >= 1")
+    return letters
 
 
 def _length_blocks(
@@ -246,8 +252,7 @@ def iter_solutions(
     length tuples are merged in (x, y, |u|) order.
     """
     exps = Exponents(*exps)
-    _validate_search_args(exps, alphabet_size, max_total_len)
-    letters = alphabet(alphabet_size)
+    letters = _validate_search_args(exps, alphabet_size, max_total_len)
     for lx, ly, uv in _length_blocks(exps, max_total_len, allow_empty):
         # |u| = |x| forces u = x and v = y; every other tuple gives distinct solutions
         streams = [_tuple_solutions(exps, letters, lx, ly, lu, lv)
@@ -368,12 +373,9 @@ def enumerate_solutions(
       so only tuples with |u| >= |x| are visited, and those with
       |u| > |x| count twice.
     """
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
     exps = Exponents(*exps)
-    _validate_search_args(exps, alphabet_size, max_total_len)
+    letters = _validate_search_args(exps, alphabet_size, max_total_len, shards)
     i, j, k = exps
-    letters = alphabet(alphabet_size)
     total = 0
     reps: dict[tuple[str, str, str, str], EquationInstance] = {}
     for lx, ly, uv in _length_blocks(exps, max_total_len, allow_empty):
@@ -416,17 +418,11 @@ class ForcingVerdict:
         return self.report.nonperiodic
 
     def to_json_obj(self) -> dict:
-        i, j, k = self.report.exps
-        return {
-            "i": i,
-            "j": j,
-            "k": k,
-            "alphabet": self.report.alphabet_size,
-            "bound": self.report.bound,
-            "total_solutions": self.report.total_solutions,
-            "forced_up_to_bound": self.forced_up_to_bound,
-            "witnesses": [inst.to_json_obj() for inst in self.witnesses],
-        }
+        obj = self.report.to_json_obj()
+        witnesses = obj.pop("nonperiodic")
+        obj["forced_up_to_bound"] = obj.pop("periodic_only")
+        obj["witnesses"] = witnesses
+        return obj
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), indent=2) + "\n"

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .equations import EquationInstance, Exponents, check, is_periodic_solution
-from .words import all_words, alphabet, commutes
+from .words import ParameterError, all_words, alphabet, commutes
 
 
 class CommutingParametersError(ValueError):
@@ -41,9 +41,9 @@ def family_j2(alpha: str, beta: str, k: int = 1) -> EquationInstance:
     x = alpha^(2k+1) (beta alpha^k)^2        u = alpha
     y = beta alpha^k                         v = (alpha^k beta)^2 (alpha^(3k+1) beta alpha^k beta)^k
     """
-    _require_noncommuting(alpha, beta, "alpha and beta")
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise ParameterError("k must be >= 1")
+    _require_noncommuting(alpha, beta, "alpha and beta")
     ak = alpha * k
     x = alpha * (2 * k + 1) + (beta + ak) * 2
     y = beta + ak
@@ -58,9 +58,9 @@ def family_i1k1(alpha: str, gamma: str, j: int = 3) -> EquationInstance:
     u = alpha, y = gamma, v = alpha gamma^j alpha, and x = alpha beta alpha
     where beta = v^((j-1)/2) is the word square root of v^(j-1).
     """
-    _require_noncommuting(alpha, gamma, "alpha and gamma")
     if j < 3 or j % 2 == 0:
-        raise ValueError("beta^2 = v^(j-1) has a word solution only for odd j >= 3")
+        raise ParameterError("beta^2 = v^(j-1) has a word solution only for odd j >= 3")
+    _require_noncommuting(alpha, gamma, "alpha and gamma")
     v = alpha + gamma * j + alpha
     beta = v * ((j - 1) // 2)
     x = alpha + beta + alpha
@@ -93,7 +93,7 @@ def validate_family_grid(
     naming the parameters.
     """
     if max_param_len < 1 or max_k < 1 or max_j < 1:
-        raise ValueError("grid bounds must be >= 1")
+        raise ParameterError("grid bounds must be >= 1")
     letters = alphabet(alphabet_size)
     pairs = [
         (p, q)

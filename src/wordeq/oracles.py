@@ -23,6 +23,7 @@ from .codes import (
     imprimitive_in_cross_set,
 )
 from .words import (
+    ParameterError,
     all_words,
     alphabet,
     are_conjugate,
@@ -384,7 +385,7 @@ def run_lemma_suite(max_len: int = 6) -> list[OracleResult]:
     words up to 10 letters, cross-set exponents up to 6.
     """
     if max_len < 1:
-        raise ValueError("max_len must be >= 1")
+        raise ParameterError("max_len must be >= 1")
     word_cap = max(1, max_len - 2)
     code_cap = max(2, max_len - 1)
     return [

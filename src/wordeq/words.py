@@ -15,19 +15,23 @@ from typing import Iterator
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
+class ParameterError(ValueError):
+    """A caller-supplied parameter (exponent, alphabet, bound, count) is out of range."""
+
+
 def alphabet(size: int) -> str:
     """Return the first ``size`` lowercase letters."""
     if not 2 <= size <= 26:
-        raise ValueError(f"alphabet size must be between 2 and 26, got {size}")
+        raise ParameterError(f"alphabet size must be between 2 and 26, got {size}")
     return LETTERS[:size]
 
 
 def check_letters(w: str, alphabet_size: int) -> None:
-    """Raise ValueError unless every letter of ``w`` is in the declared alphabet."""
+    """Raise ParameterError unless every letter of ``w`` is in the declared alphabet."""
     allowed = alphabet(alphabet_size)
     for ch in w:
         if ch not in allowed:
-            raise ValueError(f"letter {ch!r} outside alphabet of size {alphabet_size}")
+            raise ParameterError(f"letter {ch!r} outside alphabet of size {alphabet_size}")
 
 
 def words_of_length(n: int, letters: str) -> Iterator[str]:

@@ -6,7 +6,10 @@ import pytest
 
 from wordeq import cli
 from wordeq.cli import main
-from wordeq.equations import EquationInstance, Exponents, canonical_instance
+from wordeq.equations import EquationInstance, Exponents, canonical_instance, enumerate_solutions
+from wordeq.families import family_i1k1, family_j2, validate_family_grid
+from wordeq.oracles import run_lemma_suite
+from wordeq.words import ParameterError, alphabet, check_letters
 
 
 def run_cli(capsys, *argv):
@@ -145,6 +148,55 @@ def test_lemmas_zero_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["lemmas", "--max-len", "0"])
     assert exc.value.code == 64
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("family --family j2 --alpha a --beta aa --param-k 0", 64),
+    ("family --family i1k1 --alpha a --gamma a --param-j 4", 64),
+    ("family --family j2 --alpha a --beta aa", 65),
+    ("family --family j2 --alpha c --beta aa --alphabet 2", 64),
+    ("family --family grid --max-len 0 --alphabet 27", 64),
+    ("verify --i 1 --j 0 --k 1 --alphabet 1 --max-len 1 --shards 0", 64),
+    ("solve --i 2 --j 3 --k 1 --alphabet 27 --max-len 18", 64),
+    ("lemmas --max-len -3", 64),
+])
+def test_exit_code_with_several_invalid_arguments(capsys, argv, code):
+    # a range error is a usage error even where the words are also invalid
+    try:
+        got = main(argv.split())
+    except SystemExit as exc:
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert got == code
+    assert out == ""
+    assert "outside the proven forcing range" not in err
+
+
+def test_parameter_errors_come_from_the_library():
+    assert issubclass(ParameterError, ValueError)
+    checks = [
+        lambda: alphabet(1),
+        lambda: check_letters("c", 2),
+        lambda: enumerate_solutions((2, 3, 1), 2, 5),
+        lambda: enumerate_solutions((2, 3, 1), 2, 18, shards=0),
+        lambda: enumerate_solutions((2, 3, 1), 27, 18),
+        lambda: family_j2("a", "b", 0),
+        lambda: family_i1k1("a", "b", 4),
+        lambda: validate_family_grid(0, 1, 3),
+        lambda: run_lemma_suite(0),
+    ]
+    for call in checks:
+        with pytest.raises(ParameterError):
+            call()
+
+
+def test_only_parameter_errors_become_usage_errors(monkeypatch):
+    def broken(max_len):
+        raise ValueError("a fault inside the command")
+
+    monkeypatch.setattr(cli, "run_lemma_suite", broken)
+    with pytest.raises(ValueError, match="a fault inside the command"):
+        main(["lemmas", "--max-len", "2"])
 
 
 def test_cli_output_identical_across_shards(capsys):
