@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
-from .words import are_conjugate, commutes, exponent, is_primitive
+from .words import ParameterError, are_conjugate, commutes, exponent, is_primitive
 
 CODE_LETTERS = "xy"
 
@@ -148,7 +148,7 @@ def imprimitive_in_cross_set(code: BinaryCode, max_exp: int) -> list[CodeWord]:
     0 or 1; the property suite asserts that.
     """
     if max_exp < 1:
-        raise ValueError("max_exp must be >= 1")
+        raise ParameterError("max_exp must be >= 1")
     candidates = {"x" + "y" * n for n in range(1, max_exp + 1)}
     candidates |= {"x" * n + "y" for n in range(1, max_exp + 1)}
     found = []
@@ -226,7 +226,7 @@ def classify_imprimitive_set(code: BinaryCode, table: list[tuple[str, int]]) -> 
 def x_primitive_imprimitive_set(code: BinaryCode, max_code_len: int) -> ImprimitiveSet:
     """Collect and classify the code-primitive imprimitive words up to a code length."""
     if max_code_len < 2:
-        raise ValueError("max_code_len must be >= 2")
+        raise ParameterError("max_code_len must be >= 2")
     return classify_imprimitive_set(code, imprimitive_code_words(code, max_code_len))
 
 
@@ -248,7 +248,7 @@ def classify_x_power(c: CodeWord, i: int) -> PowerShape:
     not an i-th power.
     """
     if i < 2:
-        raise ValueError("exponent must be >= 2")
+        raise ParameterError("exponent must be >= 2")
     if not c.letters or not is_primitive(c.letters):
         raise ValueError("not an imprimitive X-primitive word")
     if exponent(c.expansion) % i != 0:

@@ -10,7 +10,6 @@ documented desk-scale ranges.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -57,17 +56,27 @@ class OracleResult:
 
 
 class _Recorder:
+    """Counts cases and keeps the first failures.
+
+    A description is a format string and its arguments, joined with
+    ``%`` only when a failure is kept, so passing cases cost no string
+    formatting.
+    """
+
     def __init__(self) -> None:
         self.cases = 0
         self.failures: list[str] = []
 
-    def record(self, ok: bool, describe: str) -> None:
-        self.tally(1, 0 if ok else 1, describe)
+    def record(self, ok: bool, fmt: str, *args: object) -> None:
+        self.cases += 1
+        if not ok and len(self.failures) < MAX_RECORDED_FAILURES:
+            self.failures.append(fmt % args)
 
-    def tally(self, cases: int, failed: int, describe: str) -> None:
+    def tally(self, cases: int, failed: int, fmt: str, *args: object) -> None:
         self.cases += cases
-        room = MAX_RECORDED_FAILURES - len(self.failures)
-        self.failures.extend([describe] * min(failed, room))
+        kept = min(failed, MAX_RECORDED_FAILURES - len(self.failures))
+        if kept > 0:
+            self.failures.extend([fmt % args] * kept)
 
     def result(self, name: str) -> OracleResult:
         return OracleResult(name, self.cases, tuple(self.failures))
@@ -96,15 +105,62 @@ def check_periodicity_lemma(max_root_len: int = 5) -> OracleResult:
             long_len = len(p) + len(q) - 1
             shared = power_factors(p, long_len) & power_factors(q, long_len)
             if not are_conjugate(p, q):
-                rec.record(not shared, f"non-conjugate p={p!r} q={q!r} share a long factor")
+                rec.record(not shared, "non-conjugate p=%r q=%r share a long factor", p, q)
                 short_len = long_len - 1
                 if not sharp and short_len >= 1:
                     if power_factors(p, short_len) & power_factors(q, short_len):
                         sharp = True
             elif p != q and (p.startswith(q) or q.startswith(p)):
-                rec.record(not shared, f"prefix-comparable p={p!r} q={q!r} share a long factor")
+                rec.record(not shared, "prefix-comparable p=%r q=%r share a long factor", p, q)
     rec.record(sharp, "no non-conjugate pair attains a common factor of length |p|+|q|-2")
     return rec.result("periodicity-lemma")
+
+
+def _code_head_counts(first: str, x: str, y: str, limit: int, code_len: int) -> dict[str, int]:
+    """Heads of length ``limit`` of the code words over {x, y} that start with ``first``.
+
+    Maps each head to the number of code words of at most ``code_len``
+    letters whose expansion reaches ``limit`` letters with that head.
+    Only the minimal words, whose expansion first reaches ``limit``, are
+    built: every extension of a minimal word of depth d shares its head,
+    and there are 2**(code_len-d+1) - 1 of them, the word included.
+    """
+    heads: dict[str, int] = {}
+    level = [first]
+    depth = 1
+    while True:
+        weight = (2 << (code_len - depth)) - 1
+        short = []
+        for e in level:
+            if len(e) >= limit:
+                h = e[:limit]
+                heads[h] = heads.get(h, 0) + weight
+            else:
+                short.append(e)
+        if depth == code_len or not short:
+            return heads
+        depth += 1
+        level = [e + w for e in short for w in (x, y)]
+
+
+def _head_clashes(x: str, y: str, limit: int, code_len: int) -> int:
+    """Pairs of code words x t, y t' whose expansions share their first ``limit`` letters.
+
+    t and t' range over code words of fewer than ``code_len`` letters,
+    the empty word included, and a word shorter than ``limit`` letters
+    clashes with nothing.  The count is the sum over heads h of
+    Hx(h) * Hy(h), where Hc(h) counts the words starting with c that reach
+    ``limit`` letters with head h.  Every x-head starts with the first
+    min(|x|, limit) letters of x and every y-head with those of y, so when
+    x and y differ within their first min(|x|, |y|, limit) letters no
+    head is shared and nothing is walked.
+    """
+    m = min(len(x), len(y), limit)
+    if x[:m] != y[:m]:
+        return 0
+    x_heads = _code_head_counts(x, x, y, limit, code_len)
+    y_heads = _code_head_counts(y, x, y, limit, code_len)
+    return sum(n * y_heads.get(h, 0) for h, n in x_heads.items())
 
 
 def _code_bounds(max_xy_total: int, max_code_len: int) -> list[OracleResult]:
@@ -112,10 +168,10 @@ def _code_bounds(max_xy_total: int, max_code_len: int) -> list[OracleResult]:
 
     The prefix bound compares x t with y t' and the suffix bound t x with
     t' y, for tails t, t' of fewer than max_code_len code letters (at
-    least the empty tail); every pair of tails is one case.  Both read one
-    expansions table per code: heads split by first code letter, tails by
-    last.  Reversal maps the tail set onto itself, so the suffix cases are
-    the prefix cases of the reversed code.
+    least the empty tail); every pair of tails is one case, and every
+    pair sharing |x|+|y| letters a failure.  Reversal maps the tail set
+    onto itself, so the suffix cases are the prefix cases of the reversed
+    code, and both sides count their clashes with ``_head_clashes``.
     """
     prefix, suffix = _Recorder(), _Recorder()
     code_len = max(1, max_code_len)
@@ -126,12 +182,11 @@ def _code_bounds(max_xy_total: int, max_code_len: int) -> list[OracleResult]:
             if commutes(x, y):
                 continue
             limit = len(x) + len(y)
-            table = [(s, e) for s, e in BinaryCode(x, y).expansions(code_len) if len(e) >= limit]
-            for rec, side, end, cut in ((prefix, "prefix", 0, slice(limit)),
-                                        (suffix, "suffix", -1, slice(-limit, None))):
-                ends_x, ends_y = (Counter(e[cut] for s, e in table if s[end] == c) for c in "xy")
-                clashes = sum(n * ends_y[h] for h, n in ends_x.items())
-                rec.tally(tail_pairs, clashes, f"x={x!r} y={y!r}: common {side} reaches {limit}")
+            for rec, side, a, b in ((prefix, "prefix", x, y),
+                                    (suffix, "suffix", x[::-1], y[::-1])):
+                clashes = _head_clashes(a, b, limit, code_len)
+                rec.tally(tail_pairs, clashes, "x=%r y=%r: common %s reaches %d",
+                          x, y, side, limit)
     return [prefix.result("code-prefix-bound"), suffix.result("code-suffix-bound")]
 
 
@@ -152,7 +207,7 @@ def check_overlap_commutation(max_word_len: int = 10) -> OracleResult:
         for cut in range(len(s) + 1):
             s1, s2 = s[:cut], s[cut:]
             if s.endswith(s1) and s.startswith(s2):
-                rec.record(commutes(s1, s2), f"s={s!r} cut={cut}")
+                rec.record(commutes(s1, s2), "s=%r cut=%d", s, cut)
     return rec.result("overlap-commutation")
 
 
@@ -183,7 +238,7 @@ def check_conjugacy_transfer(max_u_len: int = 5, max_z_len: int = 7) -> OracleRe
                 ok = ok and len(d.sigma) == (r if r else len(seed))
             else:
                 ok = ok and d.sigma == ""
-            rec.record(ok, f"u={u!r} z={z!r}: got {d}")
+            rec.record(ok, "u=%r z=%r: got %s", u, z, d)
     return rec.result("conjugacy-transfer")
 
 
@@ -192,7 +247,7 @@ def check_cross_set(max_word_len: int = 4, max_exp: int = 6) -> OracleResult:
     rec = _Recorder()
     for x, y in _noncommuting_pairs(max_word_len):
         hits = imprimitive_in_cross_set(BinaryCode(x, y), max_exp)
-        rec.record(len(hits) <= 1, f"x={x!r} y={y!r}: {[c.letters for c in hits]}")
+        rec.record(len(hits) <= 1, "x=%r y=%r: %s", x, y, [c.letters for c in hits])
     return rec.result("cross-set-imprimitivity")
 
 
@@ -206,14 +261,13 @@ def _code_word_checks(max_word_len: int, max_code_len: int) -> list[OracleResult
     conjugacy, set_shape, power_shape = _Recorder(), _Recorder(), _Recorder()
     for x, y in _noncommuting_pairs(max_word_len):
         code = BinaryCode(x, y)
-        pair = f"x={x!r} y={y!r}"
         table = imprimitive_code_words(code, max_code_len)
         for letters, e in table:
             n = len(letters)
             in_cross = are_conjugate(letters, "x" * (n - 1) + "y") or are_conjugate(
                 letters, "y" * (n - 1) + "x"
             )
-            conjugacy.record(in_cross, f"{pair}: {letters} not conjugate into the cross set")
+            conjugacy.record(in_cross, "x=%r y=%r: %s not conjugate into the cross set", x, y, letters)
             c = CodeWord(code, letters)
             for i in range(2, e + 1):
                 if e % i:
@@ -221,18 +275,18 @@ def _code_word_checks(max_word_len: int, max_code_len: int) -> list[OracleResult
                 try:
                     shape = classify_x_power(c, i)
                 except RuntimeError as err:
-                    power_shape.record(False, str(err))
+                    power_shape.record(False, "%s", err)
                     continue
                 single = "y" if shape.repeated == "x" else "x"
                 rebuilt = shape.repeated * shape.k + single + shape.repeated * shape.ell
-                power_shape.record(rebuilt == letters, f"{pair}: {letters} vs {shape}")
+                power_shape.record(rebuilt == letters, "x=%r y=%r: %s vs %s", x, y, letters, shape)
         if any(len(letters) >= 2 for letters, _ in table):
             roots_apart = not are_conjugate(primitive_root(x), primitive_root(y))
-            conjugacy.record(roots_apart, f"{pair}: roots conjugate despite a member")
+            conjugacy.record(roots_apart, "x=%r y=%r: roots conjugate despite a member", x, y)
         try:
             result = classify_imprimitive_set(code, table)
         except RuntimeError as err:
-            set_shape.record(False, str(err))
+            set_shape.record(False, "%s", err)
             continue
         if result.shape == "empty":
             ok = result.k is None and not result.members
@@ -241,7 +295,7 @@ def _code_word_checks(max_word_len: int, max_code_len: int) -> list[OracleResult
             k = result.k or 0
             expected = {repeated * i + single + repeated * (k - i) for i in range(k + 1)}
             ok = k >= 1 and {c.letters for c in result.members} == expected
-        set_shape.record(ok, f"{pair}: {result.to_json_obj()}")
+        set_shape.record(ok, "x=%r y=%r: %s", x, y, result.to_json_obj())
     return [
         conjugacy.result("imprimitive-conjugacy"),
         set_shape.result("imprimitive-set-shape"),
@@ -261,7 +315,7 @@ def check_imprimitive_conjugacy(max_word_len: int = 4, max_code_len: int = 5) ->
 def check_imprimitive_set_shape(max_word_len: int = 4, max_code_len: int = 5) -> OracleResult:
     """The collected code-primitive imprimitive set always has a centered shape."""
     if max_code_len < 2:
-        raise ValueError("max_code_len must be >= 2")
+        raise ParameterError("max_code_len must be >= 2")
     return _code_word_checks(max_word_len, max_code_len)[1]
 
 
@@ -289,7 +343,7 @@ def check_prefix_power_absorption(max_word_len: int = 4, max_exp: int = 3) -> Or
                         and len(rest) % len(pv) == 0
                         and rest == pv * (len(rest) // len(pv))
                     )
-                    rec.record(ok, f"v={v!r} z={z!r} i={i} |u|={t}")
+                    rec.record(ok, "v=%r z=%r i=%d |u|=%d", v, z, i, t)
     return rec.result("prefix-power-absorption")
 
 
@@ -312,7 +366,7 @@ def check_short_prefix_absorption(max_word_len: int = 4, max_exp: int = 3) -> Or
                         and len(rest) % len(pv) == 0
                         and rest == pv * (len(rest) // len(pv))
                     )
-                    rec.record(ok, f"v={v!r} t={t!r} i={i} |w|={pos}")
+                    rec.record(ok, "v=%r t=%r i=%d |w|=%d", v, t, i, pos)
     return rec.result("short-prefix-absorption")
 
 
@@ -331,7 +385,7 @@ def check_straddling_factor_commutation(max_v_len: int = 4, max_exp: int = 3) ->
                             continue
                         rec.record(
                             commutes(s[:a] + u + s[n - b:], v),
-                            f"v={v!r} i={i} a={a} |u|={lu} b={b}",
+                            "v=%r i=%d a=%d |u|=%d b=%d", v, i, a, lu, b,
                         )
     return rec.result("straddling-factor-commutation")
 
@@ -359,7 +413,7 @@ def _aligned_difference(max_v_len: int, max_exp: int, mirror: bool) -> OracleRes
                                 continue
                             front_a, front_b = s[:ai], s[:bi]
                             ok = front_b.endswith(front_a) and commutes(front_b[:bi - ai], w)
-                            rec.record(ok, f"v={v!r} i={i} |u|={lu} a={ai} b={bi}")
+                            rec.record(ok, "v=%r i=%d |u|=%d a=%d b=%d", v, i, lu, ai, bi)
     return rec.result(f"aligned-{'suffix' if mirror else 'prefix'}-difference")
 
 

@@ -4,10 +4,12 @@ These deliberately avoid the library's optimized code paths so the
 fast implementations are checked against independent computations.
 """
 
+from collections import Counter
 from itertools import permutations, product
 
-from wordeq.codes import code_words
+from wordeq.codes import BinaryCode, code_words
 from wordeq.equations import canonical_instance, is_periodic_solution, iter_solutions
+from wordeq.oracles import MAX_RECORDED_FAILURES, OracleResult
 
 
 def naive_primitive_root(w: str) -> str:
@@ -37,6 +39,48 @@ def naive_imprimitive_code_words(code, max_code_len: int):
         if naive_primitive_root(c.letters) == c.letters and root != c.expansion:
             found.append((c.letters, len(c.expansion) // len(root)))
     return found
+
+
+def naive_code_bounds(max_xy_total: int, max_code_len: int):
+    """[code-prefix-bound, code-suffix-bound] from a full table of every code.
+
+    Every code word up to the code length is built and its expansion
+    joined from scratch; heads (first |x|+|y| letters) are grouped by
+    first code letter and tails by last, and each group is a multiset
+    whose products count the clashing pairs.
+    """
+    cases = {"prefix": 0, "suffix": 0}
+    failures = {"prefix": [], "suffix": []}
+    code_len = max(1, max_code_len)
+    for x in words_up_to(max_xy_total - 1):
+        for y in words_up_to(max_xy_total - len(x)):
+            if x + y == y + x:
+                continue
+            limit = len(x) + len(y)
+            table = [(c.letters, c.expansion) for c in code_words(BinaryCode(x, y), code_len)]
+            table = [(s, e) for s, e in table if len(e) >= limit]
+            for side, end, cut in (("prefix", 0, slice(limit)), ("suffix", -1, slice(-limit, None))):
+                ends_x, ends_y = (Counter(e[cut] for s, e in table if s[end] == c) for c in "xy")
+                clashes = sum(n * ends_y[h] for h, n in ends_x.items())
+                cases[side] += (2 ** code_len - 1) ** 2
+                room = MAX_RECORDED_FAILURES - len(failures[side])
+                failures[side] += [f"x={x!r} y={y!r}: common {side} reaches {limit}"] * min(clashes, room)
+    return [OracleResult(f"code-{side}-bound", cases[side], tuple(failures[side]))
+            for side in ("prefix", "suffix")]
+
+
+def naive_head_clashes(x: str, y: str, limit: int, code_len: int) -> int:
+    """Pairs (x t, y t') of code words whose expansions agree on their first ``limit`` letters.
+
+    Compares every pair of code words of at most ``code_len`` letters
+    directly.
+    """
+    heads = {"x": [], "y": []}
+    for c in code_words(BinaryCode(x, y), code_len):
+        e = c.expansion
+        if len(e) >= limit:
+            heads[c.letters[0]].append(e[:limit])
+    return sum(s == t for s in heads["x"] for t in heads["y"])
 
 
 def words_up_to(max_len: int, letters: str = "ab", min_len: int = 1):

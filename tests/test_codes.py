@@ -16,7 +16,8 @@ from wordeq.codes import (
     is_x_primitive,
     x_primitive_imprimitive_set,
 )
-from wordeq.words import all_words, commutes, is_primitive
+from wordeq.oracles import check_imprimitive_set_shape
+from wordeq.words import ParameterError, all_words, commutes, is_primitive
 from support import naive_imprimitive_code_words
 
 
@@ -173,6 +174,17 @@ def test_classify_x_power():
         classify_x_power(code.word("xy"), 2)  # expansion "ababaab" is primitive
     with pytest.raises(ValueError):
         classify_x_power(code.word("xxy"), 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: imprimitive_in_cross_set(BinaryCode("a", "b"), 0),
+    lambda: x_primitive_imprimitive_set(BinaryCode("a", "b"), 1),
+    lambda: check_imprimitive_set_shape(max_word_len=3, max_code_len=1),
+    lambda: classify_x_power(BinaryCode("aba", "baab").word("xxy"), 1),
+])
+def test_parameter_range_errors_are_parameter_errors(call):
+    with pytest.raises(ParameterError):
+        call()
 
 
 def test_classify_single_letter_powers():

@@ -1,7 +1,9 @@
+import itertools
+
 import pytest
 
 from wordeq import oracles
-from wordeq.codes import BinaryCode, PowerShape
+from wordeq.codes import PowerShape
 from wordeq.oracles import (
     check_aligned_prefix_difference,
     check_aligned_suffix_difference,
@@ -19,6 +21,7 @@ from wordeq.oracles import (
     check_straddling_factor_commutation,
     run_lemma_suite,
 )
+from support import naive_code_bounds, naive_head_clashes
 
 # the individual checks at reduced ranges keep this module quick; the
 # acceptance suite runs the full documented ranges once
@@ -65,39 +68,45 @@ def test_suite_case_counts_at_knob_5():
     ]
 
 
+def _clash_on(side):
+    """A stand-in for oracles._head_clashes that reports 9 clashes on one side only.
+
+    _code_bounds counts each code's prefix side, then its suffix side, so
+    the calls alternate between the two.
+    """
+    sides = itertools.cycle(("prefix", "suffix"))
+    honest = oracles._head_clashes
+
+    def counter(x, y, limit, code_len):
+        if next(sides) == side:
+            return 9
+        return honest(x, y, limit, code_len)
+
+    return counter
+
+
 @pytest.mark.parametrize("oracle, side", [
     (check_code_prefix_bound, "prefix"),
     (check_code_suffix_bound, "suffix"),
 ])
 def test_code_bound_records_first_failures(monkeypatch, oracle, side):
     passing = oracle(max_xy_total=4, max_code_len=2)
-    expansions = BinaryCode.expansions
-    monkeypatch.setattr(
-        BinaryCode, "expansions",
-        lambda self, n: [(letters, "a" * 100) for letters, _ in expansions(self, n)],
-    )
+    monkeypatch.setattr(oracles, "_head_clashes", _clash_on(side))
     failing = oracle(max_xy_total=4, max_code_len=2)
     assert failing.cases == passing.cases
     assert failing.failures == (f"x='a' y='b': common {side} reaches 2",) * 3
 
 
-@pytest.mark.parametrize("clashing, expansion", [
-    ("prefix", lambda letters: "a" * 100 + letters[-1]),
-    ("suffix", lambda letters: letters[0] + "a" * 100),
-])
-def test_joint_code_bound_pass_keeps_the_twins_apart(monkeypatch, clashing, expansion):
-    # one table feeds both code bounds: expansions that clash only at the
-    # front must fail the prefix bound alone, and only at the back the
+@pytest.mark.parametrize("clashing", ["prefix", "suffix"])
+def test_joint_code_bound_pass_keeps_the_twins_apart(monkeypatch, clashing):
+    # one pass counts both code bounds: clashes counted on the prefix
+    # side must fail the prefix bound alone, and on the suffix side the
     # suffix bound alone
     def both():
         return [check_code_prefix_bound(4, 2), check_code_suffix_bound(4, 2)]
 
     passing = both()
-    expansions = BinaryCode.expansions
-    monkeypatch.setattr(
-        BinaryCode, "expansions",
-        lambda self, n: [(letters, expansion(letters)) for letters, _ in expansions(self, n)],
-    )
+    monkeypatch.setattr(oracles, "_head_clashes", _clash_on(clashing))
     for before, after in zip(passing, both()):
         assert after.cases == before.cases > 0
         if after.name == f"code-{clashing}-bound":
@@ -106,9 +115,34 @@ def test_joint_code_bound_pass_keeps_the_twins_apart(monkeypatch, clashing, expa
             assert after == before
 
 
+@pytest.mark.parametrize("max_xy_total", range(1, 10))
+@pytest.mark.parametrize("max_code_len", range(0, 6))
+def test_code_bounds_match_the_full_table(max_xy_total, max_code_len):
+    assert oracles._code_bounds(max_xy_total, max_code_len) == naive_code_bounds(
+        max_xy_total, max_code_len
+    )
+
+
+def test_head_clashes_match_a_pair_count():
+    nonzero = 0
+    for x, y in oracles._noncommuting_pairs(4):
+        for limit in range(1, len(x) + len(y) + 1):
+            for code_len in range(1, 5):
+                clashes = oracles._head_clashes(x, y, limit, code_len)
+                assert clashes == naive_head_clashes(x, y, limit, code_len), (x, y, limit, code_len)
+                nonzero += clashes > 0
+    assert nonzero > 0
+
+
 def test_suite_case_counts_at_knob_6():
     assert [r.cases for r in run_lemma_suite(6)] == [
         2483, 672750, 672750, 4262, 496, 842, 510, 842, 588, 1158, 6882, 3148, 2272, 2272,
+    ]
+
+
+def test_suite_case_counts_at_knob_7():
+    assert [r.cases for r in run_lemma_suite(7)] == [
+        10691, 6782738, 6782738, 16698, 1134, 3738, 1448, 3738, 1592, 2634, 27594, 8364, 6288, 6288,
     ]
 
 
