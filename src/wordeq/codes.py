@@ -121,9 +121,9 @@ def count_factorizations(w: str, x: str, y: str) -> int:
     return ways[len(w)]
 
 
-def code_words(code: BinaryCode, max_code_len: int, min_code_len: int = 1) -> Iterator[CodeWord]:
-    """All code words with code length in the given range, shortest first."""
-    for n in range(min_code_len, max_code_len + 1):
+def code_words(code: BinaryCode, max_code_len: int) -> Iterator[CodeWord]:
+    """All code words of code length 1..max_code_len, shortest first."""
+    for n in range(1, max_code_len + 1):
         for tup in product(CODE_LETTERS, repeat=n):
             yield CodeWord(code, "".join(tup))
 
@@ -149,13 +149,13 @@ def imprimitive_in_cross_set(code: BinaryCode, max_exp: int) -> list[CodeWord]:
     """
     if max_exp < 1:
         raise ParameterError("max_exp must be >= 1")
-    candidates = {"x" + "y" * n for n in range(1, max_exp + 1)}
-    candidates |= {"x" * n + "y" for n in range(1, max_exp + 1)}
+    x, y = code.x, code.y
     found = []
-    for letters in sorted(candidates, key=lambda s: (len(s), s)):
-        c = CodeWord(code, letters)
-        if not is_primitive(c.expansion):
-            found.append(c)
+    for n in range(1, max_exp + 1):
+        if not is_primitive(x * n + y):
+            found.append(CodeWord(code, "x" * n + "y"))
+        if n > 1 and not is_primitive(x + y * n):
+            found.append(CodeWord(code, "x" + "y" * n))
     return found
 
 

@@ -477,7 +477,7 @@ def conjecture_scan(
     """
     i, j, k = Exponents(*exps)
     if j != 2 or abs(i - k) < 2 or i == 0 or k == 0:
-        raise ValueError("conjecture scan needs j == 2, |i - k| >= 2 and i, k >= 1")
+        raise ParameterError("conjecture scan needs j == 2, |i - k| >= 2 and i, k >= 1")
     return enumerate_solutions(
         exps, alphabet_size, max_total_len, distinct_only=True, shards=shards
     )

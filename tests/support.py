@@ -9,7 +9,9 @@ from itertools import permutations, product
 
 from wordeq.codes import BinaryCode, code_words
 from wordeq.equations import canonical_instance, is_periodic_solution, iter_solutions
+from wordeq.families import FamilyGridSummary, family_i1k1, family_j2
 from wordeq.oracles import MAX_RECORDED_FAILURES, OracleResult
+from wordeq.words import ParameterError, all_words, alphabet, commutes
 
 
 def naive_primitive_root(w: str) -> str:
@@ -39,6 +41,18 @@ def naive_imprimitive_code_words(code, max_code_len: int):
         if naive_primitive_root(c.letters) == c.letters and root != c.expansion:
             found.append((c.letters, len(c.expansion) // len(root)))
     return found
+
+
+def naive_cross_set(code, max_exp: int):
+    """Code letters of the imprimitive members of {x y^n} u {x^n y}, 1 <= n <= max_exp.
+
+    Walks every code word up to max_exp + 1 code letters, keeps the
+    cross-set members and takes roots by divisor-prefix repetition.
+    """
+    members = {"x" * n + "y" for n in range(1, max_exp + 1)}
+    members |= {"x" + "y" * n for n in range(1, max_exp + 1)}
+    return [c.letters for c in code_words(code, max_exp + 1)
+            if c.letters in members and naive_primitive_root(c.expansion) != c.expansion]
 
 
 def naive_code_bounds(max_xy_total: int, max_code_len: int):
@@ -166,3 +180,34 @@ def listed_report(
         if not is_periodic_solution(inst):
             reps.add(canonical_instance(inst, alphabet_size).words())
     return total, sorted(reps)
+
+
+def naive_family_grid(
+    max_param_len: int, max_k: int, max_j: int, alphabet_size: int = 2
+) -> FamilyGridSummary:
+    """Build every family instance over a parameter grid and certify it.
+
+    Parameters range over all ordered non-commuting pairs of non-empty
+    words up to max_param_len, k over 1..max_k, and j over the odd
+    values 3..max_j.  Each generated instance is certified to solve its
+    equation and to be non-periodic; any failure raises immediately,
+    naming the parameters.
+    """
+    if max_param_len < 1 or max_k < 1 or max_j < 1:
+        raise ParameterError("grid bounds must be >= 1")
+    letters = alphabet(alphabet_size)
+    pairs = [
+        (p, q)
+        for p in all_words(max_param_len, letters)
+        for q in all_words(max_param_len, letters)
+        if not commutes(p, q)
+    ]
+    n_j2 = n_i1k1 = 0
+    for p, q in pairs:
+        for k in range(1, max_k + 1):
+            family_j2(p, q, k)
+            n_j2 += 1
+        for j in range(3, max_j + 1, 2):
+            family_i1k1(p, q, j)
+            n_i1k1 += 1
+    return FamilyGridSummary(len(pairs), n_j2, n_i1k1)

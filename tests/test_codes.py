@@ -18,7 +18,7 @@ from wordeq.codes import (
 )
 from wordeq.oracles import check_imprimitive_set_shape
 from wordeq.words import ParameterError, all_words, commutes, is_primitive
-from support import naive_imprimitive_code_words
+from support import naive_cross_set, naive_imprimitive_code_words
 
 
 def test_binary_code_rejects_commuting_or_empty():
@@ -131,6 +131,20 @@ def test_cross_set_examples():
     assert is_primitive("abba")
     with pytest.raises(ValueError):
         imprimitive_in_cross_set(BinaryCode("a", "b"), 0)
+
+
+def test_cross_set_matches_naive_reference():
+    hits = 0
+    for x in all_words(3, "ab"):
+        for y in all_words(3, "ab"):
+            if commutes(x, y):
+                continue
+            code = BinaryCode(x, y)
+            for max_exp in range(1, 7):
+                got = [c.letters for c in imprimitive_in_cross_set(code, max_exp)]
+                assert got == naive_cross_set(code, max_exp), (x, y, max_exp)
+                hits += len(got)
+    assert hits > 0
 
 
 def test_imprimitive_set_example():

@@ -24,6 +24,7 @@ from wordeq.equations import (
     theorem_applies,
 )
 from wordeq.families import family_i1k1, family_j2
+from wordeq.words import ParameterError
 from support import listed_report, naive_orbit_minimum, naive_primitive_root, naive_solutions
 
 
@@ -509,3 +510,5 @@ def test_conjecture_scan():
         conjecture_scan((3, 3, 1), 2, 16)  # j != 2
     with pytest.raises(ValueError):
         conjecture_scan((3, 2, 0), 2, 16)  # ik = 0
+    with pytest.raises(ParameterError):
+        conjecture_scan((1, 2, 1), 2, 16)  # i == k

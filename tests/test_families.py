@@ -8,6 +8,7 @@ from wordeq.families import (
     validate_family_grid,
 )
 from wordeq.words import all_words, commutes
+from support import naive_family_grid
 
 
 def test_family_j2_base_case():
@@ -96,3 +97,36 @@ def test_grid_wider_parameters():
     assert summary.total == summary.pairs * 2
     with pytest.raises(ValueError):
         validate_family_grid(0, 1, 3)
+
+
+@pytest.mark.parametrize("alphabet_size, max_len", [(2, 6), (3, 4), (4, 3)])
+def test_grid_matches_naive_sweep(alphabet_size, max_len):
+    for n in range(1, max_len + 1):
+        for k in (1, 2, 3):
+            for j in (1, 2, 3, 4, 5, 7):
+                got = validate_family_grid(n, k, j, alphabet_size)
+                assert got == naive_family_grid(n, k, j, alphabet_size), (n, k, j)
+
+
+def _image(w, p, q):
+    return "".join(p if c == "a" else q for c in w)
+
+
+def test_families_are_images_of_the_base_pair():
+    # family(p, q) == h(family("a", "b")) for h: a -> p, b -> q, the
+    # identity that lets one certificate per k and j cover the grid.
+    pairs = [(p, q) for p in all_words(4, "ab") for q in all_words(4, "ab")
+             if not commutes(p, q)]
+    builds = [(family_j2, k) for k in (1, 2, 3)] + [(family_i1k1, j) for j in (3, 5)]
+    checked = 0
+    for build, n in builds:
+        base = build("a", "b", n).words()
+        for p, q in pairs:
+            assert build(p, q, n).words() == tuple(_image(w, p, q) for w in base)
+            checked += 1
+    assert checked == 5 * len(pairs) == 4210
+
+
+def test_grid_pair_counts_beyond_the_sweep():
+    assert validate_family_grid(6, 1, 3, 3).pairs == 1_191_198
+    assert validate_family_grid(7, 1, 3, 3).pairs == 10_748_352
