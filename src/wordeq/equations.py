@@ -261,6 +261,27 @@ def iter_solutions(
             yield EquationInstance(exps, x, y, u, v)
 
 
+def _named(words: tuple[str, ...], letters: str) -> tuple[str, ...]:
+    """``words`` with their letters renamed a, b, c, ... in order of first occurrence."""
+    seen = "".join(dict.fromkeys("".join(words)))
+    table = str.maketrans(seen, letters[:len(seen)])
+    return tuple(w.translate(table) for w in words)
+
+
+def _least_image(exps: Exponents, words: tuple[str, ...], letters: str) -> tuple[str, ...]:
+    """The least member of the symmetry orbit of ``words``, already named.
+
+    ``words`` must be named by first occurrence, which makes it the
+    least relabelling of itself; only the side swap and, when i == k,
+    the two mirrors are named here.  They use the same letters, so they
+    fit the alphabet whenever ``words`` does.
+    """
+    i, _, k = exps
+    swap = words[2:] + words[:2]
+    mirrors = [tuple(w[::-1] for w in t) for t in (words, swap)] if i == k else []
+    return min(words, *(_named(t, letters) for t in [swap, *mirrors]))
+
+
 def canonical_instance(inst: EquationInstance, alphabet_size: int) -> EquationInstance:
     """Lexicographically least member of the instance's symmetry orbit.
 
@@ -274,18 +295,11 @@ def canonical_instance(inst: EquationInstance, alphabet_size: int) -> EquationIn
     cost does not depend on the alphabet.
     """
     letters = alphabet(alphabet_size)
-    i, _, k = inst.exps
-    base = [inst.words(), (inst.u, inst.v, inst.x, inst.y)]
-    if i == k:
-        base += [tuple(w[::-1] for w in t) for t in base]
-    images = []
-    for t in base:
-        seen = "".join(dict.fromkeys("".join(t)))
-        if len(seen) > alphabet_size:
-            raise ValueError(f"{len(seen)} distinct letters exceed the alphabet of {alphabet_size}")
-        table = str.maketrans(seen, letters[:len(seen)])
-        images.append(tuple(w.translate(table) for w in t))
-    return EquationInstance(inst.exps, *min(images))
+    used = len(set("".join(inst.words())))
+    if used > alphabet_size:
+        raise ValueError(f"{used} distinct letters exceed the alphabet of {alphabet_size}")
+    named = _named(inst.words(), letters)
+    return EquationInstance(inst.exps, *_least_image(inst.exps, named, letters))
 
 
 @dataclass(frozen=True)
@@ -366,6 +380,9 @@ def enumerate_solutions(
     - So t has a non-periodic solution iff c(t / g) > 1, and only those
       tuples get assignments, one per relabelling orbit; a growth string
       that repeats its first g letters is periodic and skipped unbuilt.
+      The growth string names the classes by first occurrence, so its
+      word tuple is already named a, b, c, ... in reading order, and
+      ``_least_image`` names only its side swap and mirrors.
     - The side swap (|u|, |v|, |x|, |y|) joins the same positions, so it
       has the same class count, and swapping the sides maps its solutions
       one to one onto those of t, keeping periodicity.  The swapped
@@ -377,7 +394,7 @@ def enumerate_solutions(
     letters = _validate_search_args(exps, alphabet_size, max_total_len, shards)
     i, j, k = exps
     total = 0
-    reps: dict[tuple[str, str, str, str], EquationInstance] = {}
+    reps: set[tuple[str, str, str, str]] = set()
     for lx, ly, uv in _length_blocks(exps, max_total_len, allow_empty):
         multiples = range(1, max_total_len // ((i + k) * lx + j * ly) + 1)
         for lu, lv in uv:
@@ -395,10 +412,8 @@ def enumerate_solutions(
                     if growth == growth[:g] * count:
                         continue  # the letter depends on the residue alone: periodic
                     s = "".join([letters[growth[t]] for t in scaled])
-                    rep = canonical_instance(EquationInstance(exps, s[:a], s[a:b], s[b:c], s[c:]),
-                                             alphabet_size)
-                    reps[rep.words()] = rep
-    nonperiodic = tuple(reps[key] for key in sorted(reps))
+                    reps.add(_least_image(exps, (s[:a], s[a:b], s[b:c], s[c:]), letters))
+    nonperiodic = tuple(EquationInstance(exps, *words) for words in sorted(reps))
     return SolutionReport(exps, alphabet_size, max_total_len, total, nonperiodic,
                           distinct_only, allow_empty)
 

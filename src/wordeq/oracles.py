@@ -96,7 +96,11 @@ def check_periodicity_lemma(max_root_len: int = 5) -> OracleResult:
     Also checks the two side claims: distinct prefix-comparable
     primitive words never share such a factor, and the bound is sharp,
     i.e. some non-conjugate pair shares a factor of length |p|+|q|-2.
+    The first pair with |p|+|q|-2 >= 1 has roots of length 2, so shorter
+    roots cannot witness sharpness and are refused.
     """
+    if max_root_len < 2:
+        raise ParameterError("max_root_len must be >= 2")
     rec = _Recorder()
     sharp = False
     prims = [w for w in all_words(max_root_len, alphabet(2)) if is_primitive(w)]
@@ -324,97 +328,90 @@ def check_power_shape(max_word_len: int = 4, max_code_len: int = 5) -> OracleRes
     return _code_word_checks(max_word_len, max_code_len)[2]
 
 
-def check_prefix_power_absorption(max_word_len: int = 4, max_exp: int = 3) -> OracleResult:
-    """If z is a suffix of v and u v a prefix of z v^i, then u v lies in z root(v)^*."""
-    rec = _Recorder()
-    for v in all_words(max_word_len, alphabet(2)):
-        pv = primitive_root(v)
-        for zcut in range(len(v) + 1):
-            z = v[zcut:]
-            for i in range(1, max_exp + 1):
-                base = z + v * i
-                for t in range(len(base) - len(v) + 1):
-                    if base[t:t + len(v)] != v:
-                        continue
-                    uv = base[:t + len(v)]
-                    rest = uv[len(z):]
-                    ok = (
-                        uv.startswith(z)
-                        and len(rest) % len(pv) == 0
-                        and rest == pv * (len(rest) // len(pv))
-                    )
-                    rec.record(ok, "v=%r z=%r i=%d |u|=%d", v, z, i, t)
-    return rec.result("prefix-power-absorption")
+def _absorbed(w: str, t: str, root: str) -> bool:
+    """True iff w lies in t root^*."""
+    rest = w[len(t):]
+    return w.startswith(t) and len(rest) % len(root) == 0 and rest == root * (len(rest) // len(root))
 
 
-def check_short_prefix_absorption(max_word_len: int = 4, max_exp: int = 3) -> OracleResult:
-    """If |t| <= |w| and w v is a prefix of t v^i, then w lies in t root(v)^*."""
-    rec = _Recorder()
+def _absorption_checks(max_word_len: int, max_exp: int) -> list[OracleResult]:
+    """The two absorption oracles in one scan over the occurrences of v in t v^i.
+
+    Fronts t run over every word up to ``max_word_len``, the empty word
+    included.  An occurrence at or after |t| is a short-prefix case; when
+    t is a suffix of v every occurrence is also a prefix-power case with
+    z = t, and each suffix of v is exactly one such t.
+    """
+    prefix_power, short_prefix = _Recorder(), _Recorder()
     letters = alphabet(2)
     for v in all_words(max_word_len, letters):
         pv = primitive_root(v)
         for t in all_words(max_word_len, letters, min_len=0):
+            suffix = v.endswith(t)
             for i in range(1, max_exp + 1):
                 base = t + v * i
-                for pos in range(len(t), len(base) - len(v) + 1):
-                    if base[pos:pos + len(v)] != v:
+                for pos in range(0 if suffix else len(t), len(base) - len(v) + 1):
+                    if not base.startswith(v, pos):
                         continue
-                    w = base[:pos]
-                    rest = w[len(t):]
-                    ok = (
-                        w.startswith(t)
-                        and len(rest) % len(pv) == 0
-                        and rest == pv * (len(rest) // len(pv))
-                    )
-                    rec.record(ok, "v=%r t=%r i=%d |w|=%d", v, t, i, pos)
-    return rec.result("short-prefix-absorption")
+                    if suffix:
+                        prefix_power.record(_absorbed(base[:pos + len(v)], t, pv),
+                                            "v=%r z=%r i=%d |u|=%d", v, t, i, pos)
+                    if pos >= len(t):
+                        short_prefix.record(_absorbed(base[:pos], t, pv),
+                                            "v=%r t=%r i=%d |w|=%d", v, t, i, pos)
+    return [prefix_power.result("prefix-power-absorption"),
+            short_prefix.result("short-prefix-absorption")]
 
 
-def check_straddling_factor_commutation(max_v_len: int = 4, max_exp: int = 3) -> OracleResult:
-    """With |u| >= |v|, a u a prefix of v^i and u b a suffix of v^i force a u b to commute with v."""
-    rec = _Recorder()
+def check_prefix_power_absorption(max_word_len: int = 4, max_exp: int = 3) -> OracleResult:
+    """If z is a suffix of v and u v a prefix of z v^i, then u v lies in z root(v)^*."""
+    return _absorption_checks(max_word_len, max_exp)[0]
+
+
+def check_short_prefix_absorption(max_word_len: int = 4, max_exp: int = 3) -> OracleResult:
+    """If |t| <= |w| and w v is a prefix of t v^i, then w lies in t root(v)^*."""
+    return _absorption_checks(max_word_len, max_exp)[1]
+
+
+def _factor_pair_checks(max_v_len: int, max_exp: int) -> list[OracleResult]:
+    """The three oracles on pairs of equal factors of v^i, in one scan.
+
+    The starts of each factor u of s = v^i with |u| >= |v| are grouped by
+    u.  Every ordered pair (a, b) of starts in a group is a straddling
+    case: s[:a] u is a prefix and u s[b+|u|:] a suffix of s, the latter
+    described by its distance n - b - |u| from the end.  Pairs with
+    a <= b compare the fronts s[:a] and s[:b].  Pairs with a >= b compare
+    the tails after the two occurrences, which are the reversed fronts of
+    (v reversed)^i, so their descriptions give the reversed positions.
+    """
+    straddling, prefix, suffix = _Recorder(), _Recorder(), _Recorder()
     for v in all_words(max_v_len, alphabet(2)):
         for i in range(1, max_exp + 1):
             s = v * i
             n = len(s)
-            for a in range(n + 1):
-                for lu in range(len(v), n - a + 1):
-                    u = s[a:a + lu]
-                    for b in range(n - lu + 1):
-                        if s[n - b - lu:n - b] != u:
-                            continue
-                        rec.record(
-                            commutes(s[:a] + u + s[n - b:], v),
-                            "v=%r i=%d a=%d |u|=%d b=%d", v, i, a, lu, b,
-                        )
-    return rec.result("straddling-factor-commutation")
-
-
-def _aligned_difference(max_v_len: int, max_exp: int, mirror: bool) -> OracleResult:
-    """Compare the fronts of equal factors u of v^i, grouped by u.
-
-    The mirror scans (v reversed)^i, whose fronts are the reversed
-    tails of v^i; descriptions name the original v.
-    """
-    rec = _Recorder()
-    for v in all_words(max_v_len, alphabet(2)):
-        w = v[::-1] if mirror else v
-        for i in range(1, max_exp + 1):
-            s = w * i
-            n = len(s)
-            for lu in range(len(w), n + 1):
+            for lu in range(len(v), n + 1):
                 spots: dict[str, list[int]] = {}
                 for a in range(n - lu + 1):
                     spots.setdefault(s[a:a + lu], []).append(a)
-                for positions in spots.values():
-                    for ai in positions:
-                        for bi in positions:
-                            if ai > bi:
-                                continue
-                            front_a, front_b = s[:ai], s[:bi]
-                            ok = front_b.endswith(front_a) and commutes(front_b[:bi - ai], w)
-                            rec.record(ok, "v=%r i=%d |u|=%d a=%d b=%d", v, i, lu, ai, bi)
-    return rec.result(f"aligned-{'suffix' if mirror else 'prefix'}-difference")
+                for starts in spots.values():
+                    for a in starts:
+                        for b in starts:
+                            straddling.record(commutes(s[:a + lu] + s[b + lu:], v),
+                                              "v=%r i=%d a=%d |u|=%d b=%d", v, i, a, lu, n - b - lu)
+                            if a <= b:
+                                ok = s[:b].endswith(s[:a]) and commutes(s[:b - a], v)
+                                prefix.record(ok, "v=%r i=%d |u|=%d a=%d b=%d", v, i, lu, a, b)
+                            if a >= b:
+                                ok = s[b + lu:].startswith(s[a + lu:]) and commutes(s[n - (a - b):], v)
+                                suffix.record(ok, "v=%r i=%d |u|=%d a=%d b=%d",
+                                              v, i, lu, n - a - lu, n - b - lu)
+    return [straddling.result("straddling-factor-commutation"),
+            prefix.result("aligned-prefix-difference"), suffix.result("aligned-suffix-difference")]
+
+
+def check_straddling_factor_commutation(max_v_len: int = 4, max_exp: int = 3) -> OracleResult:
+    """With |u| >= |v|, a u a prefix of v^i and u b a suffix of v^i force a u b to commute with v."""
+    return _factor_pair_checks(max_v_len, max_exp)[0]
 
 
 def check_aligned_prefix_difference(max_v_len: int = 4, max_exp: int = 3) -> OracleResult:
@@ -423,12 +420,12 @@ def check_aligned_prefix_difference(max_v_len: int = 4, max_exp: int = 3) -> Ora
     The shorter front a is then a suffix of the longer front b, and b
     with that suffix removed commutes with v.
     """
-    return _aligned_difference(max_v_len, max_exp, mirror=False)
+    return _factor_pair_checks(max_v_len, max_exp)[1]
 
 
 def check_aligned_suffix_difference(max_v_len: int = 4, max_exp: int = 3) -> OracleResult:
     """Mirror statement for suffix occurrences u a, u b of v^i."""
-    return _aligned_difference(max_v_len, max_exp, mirror=True)
+    return _factor_pair_checks(max_v_len, max_exp)[2]
 
 
 def run_lemma_suite(max_len: int = 6) -> list[OracleResult]:
@@ -449,9 +446,6 @@ def run_lemma_suite(max_len: int = 6) -> list[OracleResult]:
         check_conjugacy_transfer(max_u_len=max(1, max_len - 1), max_z_len=max_len + 1),
         check_cross_set(max_word_len=word_cap, max_exp=max(1, max_len)),
         *_code_word_checks(max_word_len=word_cap, max_code_len=code_cap),
-        check_prefix_power_absorption(max_word_len=word_cap, max_exp=3),
-        check_short_prefix_absorption(max_word_len=word_cap, max_exp=3),
-        check_straddling_factor_commutation(max_v_len=word_cap, max_exp=3),
-        check_aligned_prefix_difference(max_v_len=word_cap, max_exp=3),
-        check_aligned_suffix_difference(max_v_len=word_cap, max_exp=3),
+        *_absorption_checks(max_word_len=word_cap, max_exp=3),
+        *_factor_pair_checks(max_v_len=word_cap, max_exp=3),
     ]

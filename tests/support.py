@@ -10,8 +10,8 @@ from itertools import permutations, product
 from wordeq.codes import BinaryCode, code_words
 from wordeq.equations import canonical_instance, is_periodic_solution, iter_solutions
 from wordeq.families import FamilyGridSummary, family_i1k1, family_j2
-from wordeq.oracles import MAX_RECORDED_FAILURES, OracleResult
-from wordeq.words import ParameterError, all_words, alphabet, commutes
+from wordeq.oracles import MAX_RECORDED_FAILURES, OracleResult, _Recorder
+from wordeq.words import ParameterError, all_words, alphabet, commutes, primitive_root
 
 
 def naive_primitive_root(w: str) -> str:
@@ -81,6 +81,106 @@ def naive_code_bounds(max_xy_total: int, max_code_len: int):
                 failures[side] += [f"x={x!r} y={y!r}: common {side} reaches {limit}"] * min(clashes, room)
     return [OracleResult(f"code-{side}-bound", cases[side], tuple(failures[side]))
             for side in ("prefix", "suffix")]
+
+
+def naive_absorption_checks(max_word_len: int, max_exp: int):
+    """[prefix-power-absorption, short-prefix-absorption], one scan each.
+
+    The prefix-power scan walks every suffix z of v; the short-prefix
+    scan walks every front t, from position |t| on.
+    """
+    prefix_power = _Recorder()
+    for v in all_words(max_word_len, alphabet(2)):
+        pv = primitive_root(v)
+        for zcut in range(len(v) + 1):
+            z = v[zcut:]
+            for i in range(1, max_exp + 1):
+                base = z + v * i
+                for t in range(len(base) - len(v) + 1):
+                    if base[t:t + len(v)] != v:
+                        continue
+                    uv = base[:t + len(v)]
+                    rest = uv[len(z):]
+                    ok = (
+                        uv.startswith(z)
+                        and len(rest) % len(pv) == 0
+                        and rest == pv * (len(rest) // len(pv))
+                    )
+                    prefix_power.record(ok, "v=%r z=%r i=%d |u|=%d", v, z, i, t)
+    short_prefix = _Recorder()
+    letters = alphabet(2)
+    for v in all_words(max_word_len, letters):
+        pv = primitive_root(v)
+        for t in all_words(max_word_len, letters, min_len=0):
+            for i in range(1, max_exp + 1):
+                base = t + v * i
+                for pos in range(len(t), len(base) - len(v) + 1):
+                    if base[pos:pos + len(v)] != v:
+                        continue
+                    w = base[:pos]
+                    rest = w[len(t):]
+                    ok = (
+                        w.startswith(t)
+                        and len(rest) % len(pv) == 0
+                        and rest == pv * (len(rest) // len(pv))
+                    )
+                    short_prefix.record(ok, "v=%r t=%r i=%d |w|=%d", v, t, i, pos)
+    return [prefix_power.result("prefix-power-absorption"),
+            short_prefix.result("short-prefix-absorption")]
+
+
+def _naive_aligned_difference(max_v_len: int, max_exp: int, mirror: bool) -> OracleResult:
+    """Compare the fronts of equal factors u of v^i, grouped by u.
+
+    The mirror scans (v reversed)^i, whose fronts are the reversed
+    tails of v^i; descriptions name the original v.
+    """
+    rec = _Recorder()
+    for v in all_words(max_v_len, alphabet(2)):
+        w = v[::-1] if mirror else v
+        for i in range(1, max_exp + 1):
+            s = w * i
+            n = len(s)
+            for lu in range(len(w), n + 1):
+                spots: dict[str, list[int]] = {}
+                for a in range(n - lu + 1):
+                    spots.setdefault(s[a:a + lu], []).append(a)
+                for positions in spots.values():
+                    for ai in positions:
+                        for bi in positions:
+                            if ai > bi:
+                                continue
+                            front_a, front_b = s[:ai], s[:bi]
+                            ok = front_b.endswith(front_a) and commutes(front_b[:bi - ai], w)
+                            rec.record(ok, "v=%r i=%d |u|=%d a=%d b=%d", v, i, lu, ai, bi)
+    return rec.result(f"aligned-{'suffix' if mirror else 'prefix'}-difference")
+
+
+def naive_factor_pair_checks(max_v_len: int, max_exp: int):
+    """[straddling-factor-commutation, aligned-prefix-difference, aligned-suffix-difference].
+
+    Straddling walks every start a and length |u| >= |v| and then every
+    matching distance b from the end; the aligned oracles scan v^i and
+    (v reversed)^i separately.
+    """
+    straddling = _Recorder()
+    for v in all_words(max_v_len, alphabet(2)):
+        for i in range(1, max_exp + 1):
+            s = v * i
+            n = len(s)
+            for a in range(n + 1):
+                for lu in range(len(v), n - a + 1):
+                    u = s[a:a + lu]
+                    for b in range(n - lu + 1):
+                        if s[n - b - lu:n - b] != u:
+                            continue
+                        straddling.record(
+                            commutes(s[:a] + u + s[n - b:], v),
+                            "v=%r i=%d a=%d |u|=%d b=%d", v, i, a, lu, b,
+                        )
+    return [straddling.result("straddling-factor-commutation"),
+            _naive_aligned_difference(max_v_len, max_exp, mirror=False),
+            _naive_aligned_difference(max_v_len, max_exp, mirror=True)]
 
 
 def naive_head_clashes(x: str, y: str, limit: int, code_len: int) -> int:

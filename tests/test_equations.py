@@ -327,6 +327,21 @@ def test_residue_rule_agrees_with_the_periodicity_classifier(case, alphabet_size
         assert (growth == growth[:g] * (count // g)) == is_periodic_solution(inst), inst
 
 
+@settings(max_examples=60, deadline=None)
+@given(nonperiodic_tuples(), st.sampled_from([2, 3]))
+def test_growth_string_candidates_are_already_named(case, alphabet_size):
+    # enumerate_solutions relabels only the side swap and mirrors of a
+    # candidate, so the candidate itself must read a, b, c, ... in order
+    exps, t = case
+    count, label = _position_classes(exps, *t)
+    a, b, c = t[0], t[0] + t[1], t[0] + t[1] + t[2]
+    for growth in _restricted_growth(count, alphabet_size):
+        s = "".join("abc"[growth[p]] for p in label)
+        words = (s[:a], s[a:b], s[b:c], s[c:])
+        naming = {letter: "abc"[n] for n, letter in enumerate(dict.fromkeys(s))}
+        assert tuple("".join(naming[x] for x in w) for w in words) == words, (exps, t, growth)
+
+
 @settings(max_examples=200, deadline=None)
 @given(length_tuples())
 def test_side_swap_keeps_the_class_count(case):

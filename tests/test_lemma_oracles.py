@@ -4,6 +4,7 @@ import pytest
 
 from wordeq import oracles
 from wordeq.codes import PowerShape
+from wordeq.words import ParameterError
 from wordeq.oracles import (
     check_aligned_prefix_difference,
     check_aligned_suffix_difference,
@@ -21,7 +22,13 @@ from wordeq.oracles import (
     check_straddling_factor_commutation,
     run_lemma_suite,
 )
-from support import naive_code_bounds, naive_head_clashes
+import support
+from support import (
+    naive_absorption_checks,
+    naive_code_bounds,
+    naive_factor_pair_checks,
+    naive_head_clashes,
+)
 
 # the individual checks at reduced ranges keep this module quick; the
 # acceptance suite runs the full documented ranges once
@@ -132,6 +139,53 @@ def test_head_clashes_match_a_pair_count():
                 assert clashes == naive_head_clashes(x, y, limit, code_len), (x, y, limit, code_len)
                 nonzero += clashes > 0
     assert nonzero > 0
+
+
+@pytest.mark.parametrize("max_len", range(0, 6))
+@pytest.mark.parametrize("max_exp", range(0, 5))
+def test_power_factor_passes_match_the_separate_scans(max_len, max_exp):
+    assert oracles._absorption_checks(max_len, max_exp) == naive_absorption_checks(max_len, max_exp)
+    assert oracles._factor_pair_checks(max_len, max_exp) == naive_factor_pair_checks(max_len, max_exp)
+
+
+def _assert_same_verdicts(got, want):
+    # the passes visit cases in another order, so compare failures sorted;
+    # each oracle must fail some cases and pass others
+    for g, w in zip(got, want, strict=True):
+        assert (g.name, g.cases) == (w.name, w.cases)
+        assert sorted(g.failures) == sorted(w.failures)
+        assert 0 < len(g.failures) < g.cases
+
+
+# wrong commutation tests that depend only on lengths and letter counts,
+# so they answer reversed words as the mirrored reference scan expects
+@pytest.mark.parametrize("wrong", [
+    lambda x, y: len(x) % 2 == 0,
+    lambda x, y: x.count("a") <= y.count("a"),
+    lambda x, y: len(x) != len(y),
+])
+def test_factor_pair_pass_checks_each_statement(monkeypatch, wrong):
+    # with every failure kept, a broken commutation test must fail each
+    # oracle on exactly the cases where its own statement reads it
+    monkeypatch.setattr(oracles, "MAX_RECORDED_FAILURES", 10 ** 9)
+    monkeypatch.setattr(oracles, "commutes", wrong)
+    monkeypatch.setattr(support, "commutes", wrong)
+    _assert_same_verdicts(oracles._factor_pair_checks(4, 3), naive_factor_pair_checks(4, 3))
+
+
+@pytest.mark.parametrize("wrong", [lambda w: w, lambda w: w[:1], lambda w: w[::-1]])
+def test_absorption_pass_checks_each_statement(monkeypatch, wrong):
+    monkeypatch.setattr(oracles, "MAX_RECORDED_FAILURES", 10 ** 9)
+    monkeypatch.setattr(oracles, "primitive_root", wrong)
+    monkeypatch.setattr(support, "primitive_root", wrong)
+    _assert_same_verdicts(oracles._absorption_checks(4, 3), naive_absorption_checks(4, 3))
+
+
+@pytest.mark.parametrize("max_root_len", [0, 1])
+def test_periodicity_lemma_needs_roots_of_length_two(max_root_len):
+    # no pair of roots shorter than 2 can witness the sharp bound
+    with pytest.raises(ParameterError):
+        check_periodicity_lemma(max_root_len)
 
 
 def test_suite_case_counts_at_knob_6():
