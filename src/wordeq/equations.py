@@ -6,23 +6,26 @@ satisfy the equation above.  The pattern forces periodicity up to a
 length bound when every solution with (x, y) != (u, v) found within the
 bound is periodic, i.e. all four images are powers of a single word.
 
-The search fixes the four lengths first.  For each (|x|, |y|, |u|, |v|)
-with (i + k)|x| + j|y| = (i + k)|u| + j|v| = n within the bound, the
-two sides spell one word of length n, so the positions of x, y, u and v
+The search fixes the four lengths first.  Both sides have the same
+shape, so a length tuple (|x|, |y|, |u|, |v|) is an ordered pair of
+sides (a, b) with (i + k) a + j b = n, the length of the common value,
+and the side swap swaps the pair.  For each n within the bound the two
+sides spell one word of length n, so the positions of x, y, u and v
 that meet at each of its n positions must carry the same letter.
-Union-find over those positions (run on the tuple divided by its gcd g,
-then copied per residue mod g) gives c classes, and the solutions are
+Union-find over those positions gives c classes, and the solutions are
 exactly the alphabet^c letter assignments to the classes; no word is
 guessed and checked.  A tuple with |u| = |x| forces u = x and v = y, so
 the trivial solutions are skipped without looking at any word.
 
-``enumerate_solutions`` never lists the solutions: it walks the
-primitive tuples (gcd 1) and their multiples within the bound, unions
-each primitive tuple once, computes ``total_solutions`` as the sum of
-alphabet^c over the tuples, visits a tuple and its side swap once, and
-builds words only for non-periodic assignments, told by their class
-labels, one per relabelling orbit (see ``enumerate_solutions`` for why
-that is exact).  ``iter_solutions`` stays the raw enumerator.
+``enumerate_solutions`` never lists the solutions: it walks n = 1, 2,
+... and, for each n, the unordered pairs of its sides, so a tuple and its
+side swap are one visit.  It unions each primitive tuple (gcd 1) once,
+decides its multiples within the bound from the same classes copied per
+residue, computes ``total_solutions`` as the sum of alphabet^c over the
+tuples, and builds words only for non-periodic assignments, told by
+their class labels, one per relabelling orbit (see
+``enumerate_solutions`` for why that is exact).  ``iter_solutions``
+stays the raw enumerator.
 
 The search runs in one process.  The ``shards`` argument is accepted and
 validated for compatibility but starts no processes, so reports are
@@ -34,7 +37,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from heapq import merge
-from itertools import product
+from itertools import combinations, combinations_with_replacement, product
 from math import gcd
 from typing import Iterator, NamedTuple
 
@@ -113,24 +116,11 @@ def _validate_search_args(
     return letters
 
 
-def _length_blocks(
-    exps: Exponents, max_total_len: int, allow_empty: bool
-) -> Iterator[tuple[int, int, list[tuple[int, int]]]]:
-    """Each (|x|, |y|) within the bound, with every (|u|, |v|) of equal total length."""
+def _sides(exps: Exponents, n: int, lo: int) -> list[tuple[int, int]]:
+    """Every (a, b) with (i + k) a + j b = n and a, b >= lo, in ascending a."""
     i, j, k = exps
-    lo = 0 if allow_empty else 1
-    for lx in range(lo, max_total_len // (i + k) + 1):
-        budget = max_total_len - (i + k) * lx
-        for ly in range(lo, budget // j + 1):
-            if lx == 0 and ly == 0:
-                continue
-            n = (i + k) * lx + j * ly
-            uv = []
-            for lu in range(lo, n // (i + k) + 1):
-                rem = n - (i + k) * lu
-                if rem % j == 0 and (rem or allow_empty):
-                    uv.append((lu, rem // j))
-            yield lx, ly, uv
+    return [(a, (n - (i + k) * a) // j) for a in range(lo, (n - j * lo) // (i + k) + 1)
+            if (n - (i + k) * a) % j == 0]
 
 
 def _union_positions(exps: Exponents, lx: int, ly: int, lu: int, lv: int) -> tuple[int, list[int]]:
@@ -186,29 +176,18 @@ def _residue_labels(label: list[int], g: int) -> list[int]:
     return [C * g + r for C in label for r in range(g)]
 
 
-def _position_classes(exps: Exponents, lx: int, ly: int, lu: int, lv: int) -> tuple[int, list[int]]:
-    """The class count and the class of every position of x y u v, read in that order.
-
-    Only t / g, g = gcd(t), is unioned; ``_residue_labels`` copies its
-    classes per residue mod g.  Classes are numbered by first
-    occurrence; each meets x y, since every position of u and v meets
-    one of x or y.
-    """
-    g = gcd(lx, ly, lu, lv)
-    count, parent = _union_positions(exps, lx // g, ly // g, lu // g, lv // g)
-    return g * count, _residue_labels(_first_occurrence_labels(parent), g)
-
-
 def _tuple_solutions(
     exps: Exponents, letters: str, lx: int, ly: int, lu: int, lv: int
 ) -> Iterator[tuple[str, str, int, str, str]]:
     """Every solution with the given four lengths as (x, y, |u|, u, v), sorted by (x, y).
 
     The solutions are exactly the letter assignments to the position
-    classes.  Classes are numbered by first occurrence in x y, so the
+    classes.  Classes are numbered by first occurrence, and each meets
+    x y, since every position of u and v meets one of x or y; so the
     assignments in product order give x y in lexicographic order.
     """
-    count, label = _position_classes(exps, lx, ly, lu, lv)
+    count, parent = _union_positions(exps, lx, ly, lu, lv)
+    label = _first_occurrence_labels(parent)
     a, b, c = lx, lx + ly, lx + ly + lu
     for assignment in product(letters, repeat=count):
         s = "".join([assignment[t] for t in label])
@@ -248,15 +227,20 @@ def iter_solutions(
 ) -> Iterator[EquationInstance]:
     """Every solution quadruple within the bound, sorted by (|x|, |y|, x, y, |u|).
 
-    The search is lazy one (|x|, |y|) block at a time: the block's
-    length tuples are merged in (x, y, |u|) order.
+    The search takes the sides (|x|, |y|) of all common-value lengths
+    within the bound in ascending order, lazily one at a time: the
+    length tuples each makes with the sides (|u|, |v|) of its own length
+    are merged in (x, y, |u|) order.
     """
     exps = Exponents(*exps)
     letters = _validate_search_args(exps, alphabet_size, max_total_len)
-    for lx, ly, uv in _length_blocks(exps, max_total_len, allow_empty):
+    i, j, k = exps
+    lo = 0 if allow_empty else 1
+    sides = {n: _sides(exps, n, lo) for n in range(1, max_total_len + 1)}
+    for lx, ly in sorted(side for uv in sides.values() for side in uv):
         # |u| = |x| forces u = x and v = y; every other tuple gives distinct solutions
         streams = [_tuple_solutions(exps, letters, lx, ly, lu, lv)
-                   for lu, lv in uv if not (distinct_only and lu == lx)]
+                   for lu, lv in sides[(i + k) * lx + j * ly] if not (distinct_only and lu == lx)]
         for x, y, _, u, v in merge(*streams):
             yield EquationInstance(exps, x, y, u, v)
 
@@ -387,18 +371,20 @@ def enumerate_solutions(
       has the same class count, and swapping the sides maps its solutions
       one to one onto those of t, keeping periodicity.  The swapped
       solutions lie in the orbits ``canonical_instance`` already folds,
-      so only tuples with |u| >= |x| are visited, and those with
-      |u| > |x| count twice.
+      so the walk visits the unordered pairs of sides of each length n
+      (the diagonal pairs, |u| = |x|, only without ``distinct_only``),
+      and an off-diagonal pair counts twice.
     """
     exps = Exponents(*exps)
     letters = _validate_search_args(exps, alphabet_size, max_total_len, shards)
-    i, j, k = exps
+    lo = 0 if allow_empty else 1
+    pairs = combinations if distinct_only else combinations_with_replacement
     total = 0
     reps: set[tuple[str, str, str, str]] = set()
-    for lx, ly, uv in _length_blocks(exps, max_total_len, allow_empty):
-        multiples = range(1, max_total_len // ((i + k) * lx + j * ly) + 1)
-        for lu, lv in uv:
-            if lu < lx or (distinct_only and lu == lx) or gcd(lx, ly, lu, lv) > 1:
+    for n in range(1, max_total_len + 1):
+        multiples = range(1, max_total_len // n + 1)
+        for (lx, ly), (lu, lv) in pairs(_sides(exps, n, lo), 2):
+            if gcd(lx, ly, lu, lv) > 1:
                 continue
             count, parent = _union_positions(exps, lx, ly, lu, lv)
             total += (2 if lu > lx else 1) * sum(alphabet_size ** (g * count) for g in multiples)

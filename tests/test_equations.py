@@ -8,9 +8,10 @@ from wordeq import equations
 from wordeq.equations import (
     EquationInstance,
     Exponents,
-    _length_blocks,
-    _position_classes,
+    _first_occurrence_labels,
+    _residue_labels,
     _restricted_growth,
+    _sides,
     _tuple_solutions,
     _union_positions,
     canonical_instance,
@@ -256,15 +257,41 @@ def test_report_solutions_rerun_the_raw_search(exps, alphabet_size, bound, disti
     assert report.total_solutions == len(expected)
 
 
+@pytest.mark.parametrize("i,j,k", [(i, j, k) for i in range(4) for j in range(1, 4) for k in range(4)
+                                   if i + k >= 1])
+def test_sides_solve_the_side_equation_in_ascending_order(i, j, k):
+    exps = Exponents(i, j, k)
+    for n in range(41):
+        for lo in (0, 1):
+            brute = [(a, b) for a in range(n + 1) for b in range(n + 1)
+                     if a >= lo and b >= lo and (i + k) * a + j * b == n]
+            assert _sides(exps, n, lo) == brute, (n, lo)  # brute lists a in ascending order
+
+
+def all_length_tuples(exps, bound):
+    """Every length tuple, empty words allowed, with common value 1..bound, in ascending order."""
+    return sorted((lx, ly, lu, lv) for n in range(1, bound + 1)
+                  for lx, ly in _sides(exps, n, 0) for lu, lv in _sides(exps, n, 0))
+
+
+def scaled_classes(exps, t):
+    """The class count and labels of t as ``enumerate_solutions`` builds them.
+
+    Only t / g, g = gcd(t), is unioned; ``_residue_labels`` copies its
+    first-occurrence classes per residue mod g.
+    """
+    g = gcd(*t)
+    count, parent = _union_positions(exps, *(n // g for n in t))
+    return g * count, _residue_labels(_first_occurrence_labels(parent), g)
+
+
 @st.composite
 def length_tuples(draw, bound=12):
     """Exponents with j >= 1 and i + k >= 1, and one length tuple of theirs within the bound."""
     i = draw(st.integers(0, 3))
     k = draw(st.integers(0 if i else 1, 3))
     exps = Exponents(i, draw(st.integers(1, 3)), k)
-    tuples = [(lx, ly, lu, lv)
-              for lx, ly, uv in _length_blocks(exps, max(bound, sum(exps)), True) for lu, lv in uv]
-    return exps, draw(st.sampled_from(tuples))
+    return exps, draw(st.sampled_from(all_length_tuples(exps, max(bound, sum(exps)))))
 
 
 @settings(max_examples=200, deadline=None)
@@ -275,17 +302,17 @@ def test_class_count_scales_with_the_tuple(case, m):
     scaled = [m * n for n in t]
     count = _union_positions(exps, *scaled)[0]
     assert count == m * _union_positions(exps, *t)[0]
-    assert _position_classes(exps, *scaled)[0] == count
+    assert scaled_classes(exps, scaled)[0] == count
 
 
 @settings(max_examples=200, deadline=None)
 @given(length_tuples(), st.integers(1, 4))
 def test_scaled_labels_partition_the_positions_as_union_find_does(case, m):
-    # _position_classes unions t / g only; its labels must name the same
+    # enumerate_solutions unions t / g only; its labels must name the same
     # classes as the union-find forest of the full tuple, by first occurrence
     exps, t = case
     scaled = [m * n for n in t]
-    count, label = _position_classes(exps, *scaled)
+    count, label = scaled_classes(exps, scaled)
     _, parent = _union_positions(exps, *scaled)
     roots = []
     for p in range(len(parent)):
@@ -305,9 +332,8 @@ def test_scaled_labels_partition_the_positions_as_union_find_does(case, m):
 def nonperiodic_tuples(draw, bound=12):
     """Exponents and a length tuple of theirs with c(t / g) > 1 and at most 9 classes."""
     exps, _ = draw(length_tuples(bound))
-    tuples = [(lx, ly, lu, lv)
-              for lx, ly, uv in _length_blocks(exps, bound, True) for lu, lv in uv
-              if gcd(lx, ly, lu, lv) < _union_positions(exps, lx, ly, lu, lv)[0] <= 9]
+    tuples = [t for t in all_length_tuples(exps, bound)
+              if gcd(*t) < _union_positions(exps, *t)[0] <= 9]
     assume(tuples)
     return exps, draw(st.sampled_from(tuples))
 
@@ -319,7 +345,7 @@ def test_residue_rule_agrees_with_the_periodicity_classifier(case, alphabet_size
     # letter of class C g + r depends on the residue r alone
     exps, t = case
     g = gcd(*t)
-    count, label = _position_classes(exps, *t)
+    count, label = scaled_classes(exps, t)
     a, b, c = t[0], t[0] + t[1], t[0] + t[1] + t[2]
     for growth in _restricted_growth(count, alphabet_size):
         s = "".join("abc"[growth[p]] for p in label)
@@ -333,7 +359,7 @@ def test_growth_string_candidates_are_already_named(case, alphabet_size):
     # enumerate_solutions relabels only the side swap and mirrors of a
     # candidate, so the candidate itself must read a, b, c, ... in order
     exps, t = case
-    count, label = _position_classes(exps, *t)
+    count, label = scaled_classes(exps, t)
     a, b, c = t[0], t[0] + t[1], t[0] + t[1] + t[2]
     for growth in _restricted_growth(count, alphabet_size):
         s = "".join("abc"[growth[p]] for p in label)
@@ -347,14 +373,14 @@ def test_growth_string_candidates_are_already_named(case, alphabet_size):
 def test_side_swap_keeps_the_class_count(case):
     # enumerate_solutions visits a tuple or its side swap, never both
     exps, (lx, ly, lu, lv) = case
-    assert _position_classes(exps, lu, lv, lx, ly)[0] == _position_classes(exps, lx, ly, lu, lv)[0]
+    assert scaled_classes(exps, (lu, lv, lx, ly))[0] == scaled_classes(exps, (lx, ly, lu, lv))[0]
 
 
 @settings(max_examples=100, deadline=None)
 @given(length_tuples(bound=8), st.sampled_from([2, 3]))
 def test_exactly_alphabet_to_the_gcd_assignments_are_periodic(case, alphabet_size):
     exps, t = case
-    count = _position_classes(exps, *t)[0]
+    count = scaled_classes(exps, t)[0]
     solutions = [EquationInstance(exps, x, y, u, v)
                  for x, y, _, u, v in _tuple_solutions(exps, "abc"[:alphabet_size], *t)]
     assert len(solutions) == alphabet_size ** count
