@@ -31,6 +31,7 @@ from .words import (
     power_factors,
     primitive_root,
     transfer_decomposition,
+    words_of_length,
 )
 
 MAX_RECORDED_FAILURES = 3
@@ -72,8 +73,8 @@ class _Recorder:
         if not ok and len(self.failures) < MAX_RECORDED_FAILURES:
             self.failures.append(fmt % args)
 
-    def tally(self, cases: int, failed: int, fmt: str, *args: object) -> None:
-        self.cases += cases
+    def tally(self, failed: int, fmt: str, *args: object) -> None:
+        """Keep ``failed`` failures with one description; their cases are counted apart."""
         kept = min(failed, MAX_RECORDED_FAILURES - len(self.failures))
         if kept > 0:
             self.failures.extend([fmt % args] * kept)
@@ -104,15 +105,17 @@ def check_periodicity_lemma(max_root_len: int = 5) -> OracleResult:
     rec = _Recorder()
     sharp = False
     prims = [w for w in all_words(max_root_len, alphabet(2)) if is_primitive(w)]
+    # factors[p][n] is power_factors(p, n) for every length n a pair with p reads
+    factors = {p: [power_factors(p, n) for n in range(len(p) + max_root_len)] for p in prims}
     for p in prims:
         for q in prims:
             long_len = len(p) + len(q) - 1
-            shared = power_factors(p, long_len) & power_factors(q, long_len)
+            shared = factors[p][long_len] & factors[q][long_len]
             if not are_conjugate(p, q):
                 rec.record(not shared, "non-conjugate p=%r q=%r share a long factor", p, q)
                 short_len = long_len - 1
                 if not sharp and short_len >= 1:
-                    if power_factors(p, short_len) & power_factors(q, short_len):
+                    if factors[p][short_len] & factors[q][short_len]:
                         sharp = True
             elif p != q and (p.startswith(q) or q.startswith(p)):
                 rec.record(not shared, "prefix-comparable p=%r q=%r share a long factor", p, q)
@@ -120,51 +123,51 @@ def check_periodicity_lemma(max_root_len: int = 5) -> OracleResult:
     return rec.result("periodicity-lemma")
 
 
-def _code_head_counts(first: str, x: str, y: str, limit: int, code_len: int) -> dict[str, int]:
-    """Heads of length ``limit`` of the code words over {x, y} that start with ``first``.
-
-    Maps each head to the number of code words of at most ``code_len``
-    letters whose expansion reaches ``limit`` letters with that head.
-    Only the minimal words, whose expansion first reaches ``limit``, are
-    built: every extension of a minimal word of depth d shares its head,
-    and there are 2**(code_len-d+1) - 1 of them, the word included.
-    """
-    heads: dict[str, int] = {}
-    level = [first]
-    depth = 1
-    while True:
-        weight = (2 << (code_len - depth)) - 1
-        short = []
-        for e in level:
-            if len(e) >= limit:
-                h = e[:limit]
-                heads[h] = heads.get(h, 0) + weight
-            else:
-                short.append(e)
-        if depth == code_len or not short:
-            return heads
-        depth += 1
-        level = [e + w for e in short for w in (x, y)]
-
-
 def _head_clashes(x: str, y: str, limit: int, code_len: int) -> int:
     """Pairs of code words x t, y t' whose expansions share their first ``limit`` letters.
 
     t and t' range over code words of fewer than ``code_len`` letters,
     the empty word included, and a word shorter than ``limit`` letters
-    clashes with nothing.  The count is the sum over heads h of
-    Hx(h) * Hy(h), where Hc(h) counts the words starting with c that reach
-    ``limit`` letters with head h.  Every x-head starts with the first
-    min(|x|, limit) letters of x and every y-head with those of y, so when
-    x and y differ within their first min(|x|, |y|, limit) letters no
-    head is shared and nothing is walked.
+    clashes with nothing.  One depth-first walk builds both expansions
+    at once: each step extends the shorter one by x or by y, and a
+    branch lives only while the two agree on their first ``limit``
+    letters.  When both reach ``limit`` letters, at code depths d and
+    d', every extension of either word keeps its head, so the pair adds
+    (2**(code_len-d+1) - 1) * (2**(code_len-d'+1) - 1) clashes at once.
+    A pair that is not prefix-comparable has no common head: x and y
+    already differ within their first min(|x|, |y|, limit) letters.
     """
     m = min(len(x), len(y), limit)
     if x[:m] != y[:m]:
         return 0
-    x_heads = _code_head_counts(x, x, y, limit, code_len)
-    y_heads = _code_head_counts(y, x, y, limit, code_len)
-    return sum(n * y_heads.get(h, 0) for h, n in x_heads.items())
+    clashes = 0
+    stack = [(x, 1, y, 1)]
+    while stack:
+        e, d, f, g = stack.pop()
+        if len(e) > len(f):
+            e, d, f, g = f, g, e, d
+        n = len(e)
+        if n >= limit:
+            clashes += ((2 << (code_len - d)) - 1) * ((2 << (code_len - g)) - 1)
+        elif d < code_len:
+            for w in (x, y):
+                cut = min(n + len(w), len(f), limit)
+                if f[n:cut] == w[:cut - n]:
+                    stack.append((e + w, d + 1, f, g))
+    return clashes
+
+
+def _comparable_words(x: str, rest: int, mirror: bool) -> Iterator[str]:
+    """Words y of 1..``rest`` letters with x a prefix of y or y a prefix of x, in length-lex order.
+
+    With ``mirror`` the words are suffix-comparable with x instead.
+    """
+    for n in range(1, rest + 1):
+        if n <= len(x):
+            yield x[len(x) - n:] if mirror else x[:n]
+        else:
+            for w in words_of_length(n - len(x), alphabet(2)):
+                yield w + x if mirror else x + w
 
 
 def _code_bounds(max_xy_total: int, max_code_len: int) -> list[OracleResult]:
@@ -176,21 +179,34 @@ def _code_bounds(max_xy_total: int, max_code_len: int) -> list[OracleResult]:
     pair sharing |x|+|y| letters a failure.  Reversal maps the tail set
     onto itself, so the suffix cases are the prefix cases of the reversed
     code, and both sides count their clashes with ``_head_clashes``.
+
+    Only the pairs that can clash are visited.  A pair that is not
+    prefix-comparable has no common head, so on the prefix side each x
+    meets only the y that it is a prefix of or that are a prefix of it,
+    and on the suffix side only the suffix-comparable y, both in the
+    length-lex order of a walk over every pair.  The tail pairs of every
+    pair are counted without a visit: x has 2**(rest+1) - 2 partners y
+    of 1..rest letters, rest = max_xy_total - |x|, and rest // |r| of
+    them, the powers of x's primitive root r, commute with x.  A
+    commuting pair is comparable on both sides, the shorter word being
+    a prefix and a suffix of the longer, so both walks meet and skip it.
     """
     prefix, suffix = _Recorder(), _Recorder()
     code_len = max(1, max_code_len)
-    tail_pairs = (2 ** code_len - 1) ** 2
-    letters = alphabet(2)
-    for x in all_words(max_xy_total - 1, letters):
-        for y in all_words(max_xy_total - len(x), letters):
-            if commutes(x, y):
-                continue
-            limit = len(x) + len(y)
-            for rec, side, a, b in ((prefix, "prefix", x, y),
-                                    (suffix, "suffix", x[::-1], y[::-1])):
-                clashes = _head_clashes(a, b, limit, code_len)
-                rec.tally(tail_pairs, clashes, "x=%r y=%r: common %s reaches %d",
-                          x, y, side, limit)
+    noncommuting = 0
+    for x in all_words(max_xy_total - 1, alphabet(2)):
+        rest = max_xy_total - len(x)
+        noncommuting += (2 << rest) - 2 - rest // len(primitive_root(x))
+        for rec, side, mirror in ((prefix, "prefix", False), (suffix, "suffix", True)):
+            a = x[::-1] if mirror else x
+            for y in _comparable_words(x, rest, mirror):
+                if commutes(x, y):
+                    continue
+                limit = len(x) + len(y)
+                clashes = _head_clashes(a, y[::-1] if mirror else y, limit, code_len)
+                rec.tally(clashes, "x=%r y=%r: common %s reaches %d", x, y, side, limit)
+    for rec in (prefix, suffix):
+        rec.cases += noncommuting * (2 ** code_len - 1) ** 2
     return [prefix.result("code-prefix-bound"), suffix.result("code-suffix-bound")]
 
 
@@ -216,16 +232,23 @@ def check_overlap_commutation(max_word_len: int = 10) -> OracleResult:
 
 
 def check_conjugacy_transfer(max_u_len: int = 5, max_z_len: int = 7) -> OracleResult:
-    """Round-trip and canonical-choice invariants of the u z = z v decomposition."""
+    """Round-trip and canonical-choice invariants of the u z = z v decomposition.
+
+    Some v completes u z = z v exactly when u z starts with z, and that
+    holds exactly when z is a prefix of u u u ...: for |z| <= |u| it
+    says that z is a prefix of u, and beyond that that z starts with u
+    and z minus that u is again such a prefix.  So each length up to
+    ``max_z_len`` has one z, and the walk takes the prefixes of a long
+    enough power of u, shortest first, as a walk over every word would
+    meet them.
+    """
     rec = _Recorder()
-    letters = alphabet(2)
-    for u in all_words(max_u_len, letters):
+    for u in all_words(max_u_len, alphabet(2)):
         root = primitive_root(u)
-        for z in all_words(max_z_len, letters, min_len=0):
-            uz = u + z
-            if not uz.startswith(z):
-                continue  # no v completes u z = z v
-            v = uz[len(z):]
+        power = u * (max_z_len // len(u) + 1)
+        for n in range(max_z_len + 1):
+            z = power[:n]
+            v = (u + z)[n:]
             d = transfer_decomposition(u, z, v)
             seed = d.sigma + d.tau
             ok = (
@@ -350,15 +373,15 @@ def _absorption_checks(max_word_len: int, max_exp: int) -> list[OracleResult]:
             suffix = v.endswith(t)
             for i in range(1, max_exp + 1):
                 base = t + v * i
-                for pos in range(0 if suffix else len(t), len(base) - len(v) + 1):
-                    if not base.startswith(v, pos):
-                        continue
+                pos = base.find(v, 0 if suffix else len(t))
+                while pos >= 0:
                     if suffix:
                         prefix_power.record(_absorbed(base[:pos + len(v)], t, pv),
                                             "v=%r z=%r i=%d |u|=%d", v, t, i, pos)
                     if pos >= len(t):
                         short_prefix.record(_absorbed(base[:pos], t, pv),
                                             "v=%r t=%r i=%d |w|=%d", v, t, i, pos)
+                    pos = base.find(v, pos + 1)
     return [prefix_power.result("prefix-power-absorption"),
             short_prefix.result("short-prefix-absorption")]
 

@@ -11,7 +11,17 @@ from wordeq.codes import BinaryCode, code_words
 from wordeq.equations import canonical_instance, is_periodic_solution, iter_solutions
 from wordeq.families import FamilyGridSummary, family_i1k1, family_j2
 from wordeq.oracles import MAX_RECORDED_FAILURES, OracleResult, _Recorder
-from wordeq.words import ParameterError, all_words, alphabet, commutes, primitive_root
+from wordeq.words import (
+    ParameterError,
+    all_words,
+    alphabet,
+    are_conjugate,
+    commutes,
+    is_primitive,
+    power_factors,
+    primitive_root,
+    transfer_decomposition,
+)
 
 
 def naive_primitive_root(w: str) -> str:
@@ -81,6 +91,60 @@ def naive_code_bounds(max_xy_total: int, max_code_len: int):
                 failures[side] += [f"x={x!r} y={y!r}: common {side} reaches {limit}"] * min(clashes, room)
     return [OracleResult(f"code-{side}-bound", cases[side], tuple(failures[side]))
             for side in ("prefix", "suffix")]
+
+
+def naive_periodicity_lemma(max_root_len: int) -> OracleResult:
+    """The periodicity-lemma oracle, building every factor set per pair."""
+    if max_root_len < 2:
+        raise ParameterError("max_root_len must be >= 2")
+    rec = _Recorder()
+    sharp = False
+    prims = [w for w in all_words(max_root_len, alphabet(2)) if is_primitive(w)]
+    for p in prims:
+        for q in prims:
+            long_len = len(p) + len(q) - 1
+            shared = power_factors(p, long_len) & power_factors(q, long_len)
+            if not are_conjugate(p, q):
+                rec.record(not shared, "non-conjugate p=%r q=%r share a long factor", p, q)
+                short_len = long_len - 1
+                if not sharp and short_len >= 1:
+                    if power_factors(p, short_len) & power_factors(q, short_len):
+                        sharp = True
+            elif p != q and (p.startswith(q) or q.startswith(p)):
+                rec.record(not shared, "prefix-comparable p=%r q=%r share a long factor", p, q)
+    rec.record(sharp, "no non-conjugate pair attains a common factor of length |p|+|q|-2")
+    return rec.result("periodicity-lemma")
+
+
+def naive_conjugacy_transfer(max_u_len: int, max_z_len: int) -> OracleResult:
+    """The conjugacy-transfer oracle over every word z, kept when u z starts with z."""
+    rec = _Recorder()
+    letters = alphabet(2)
+    for u in all_words(max_u_len, letters):
+        root = primitive_root(u)
+        for z in all_words(max_z_len, letters, min_len=0):
+            uz = u + z
+            if not uz.startswith(z):
+                continue  # no v completes u z = z v
+            v = uz[len(z):]
+            d = transfer_decomposition(u, z, v)
+            seed = d.sigma + d.tau
+            ok = (
+                d.u == u
+                and d.z == z
+                and d.v == v
+                and d.m >= 1
+                and d.ell >= 0
+                and is_primitive(seed)
+                and seed == root
+            )
+            if z:
+                r = len(z) % len(seed)
+                ok = ok and len(d.sigma) == (r if r else len(seed))
+            else:
+                ok = ok and d.sigma == ""
+            rec.record(ok, "u=%r z=%r: got %s", u, z, d)
+    return rec.result("conjugacy-transfer")
 
 
 def naive_absorption_checks(max_word_len: int, max_exp: int):

@@ -4,7 +4,12 @@ import pytest
 
 from wordeq import oracles
 from wordeq.codes import PowerShape
-from wordeq.words import ParameterError
+from wordeq.words import (
+    ConjugacyDecomposition,
+    ParameterError,
+    power_factors,
+    transfer_decomposition,
+)
 from wordeq.oracles import (
     check_aligned_prefix_difference,
     check_aligned_suffix_difference,
@@ -26,8 +31,10 @@ import support
 from support import (
     naive_absorption_checks,
     naive_code_bounds,
+    naive_conjugacy_transfer,
     naive_factor_pair_checks,
     naive_head_clashes,
+    naive_periodicity_lemma,
 )
 
 # the individual checks at reduced ranges keep this module quick; the
@@ -75,17 +82,25 @@ def test_suite_case_counts_at_knob_5():
     ]
 
 
-def _clash_on(side):
-    """A stand-in for oracles._head_clashes that reports 9 clashes on one side only.
+# the first pair each side of _code_bounds(4, 2) hands to _head_clashes
+FIRST_OFFERED = {
+    "prefix": "x='a' y='ab': common prefix reaches 3",
+    "suffix": "x='a' y='ba': common suffix reaches 3",
+}
 
-    _code_bounds counts each code's prefix side, then its suffix side, so
-    the calls alternate between the two.
+
+def _clash_on(side):
+    """A stand-in for oracles._head_clashes that reports 9 clashes on one side's first pair.
+
+    The suffix side hands over reversed words, so both first pairs
+    arrive as ('a', 'ab'), once per side in each run, and _code_bounds
+    walks each x's prefix side before its suffix side.
     """
     sides = itertools.cycle(("prefix", "suffix"))
     honest = oracles._head_clashes
 
     def counter(x, y, limit, code_len):
-        if next(sides) == side:
+        if (x, y) == ("a", "ab") and next(sides) == side:
             return 9
         return honest(x, y, limit, code_len)
 
@@ -101,7 +116,7 @@ def test_code_bound_records_first_failures(monkeypatch, oracle, side):
     monkeypatch.setattr(oracles, "_head_clashes", _clash_on(side))
     failing = oracle(max_xy_total=4, max_code_len=2)
     assert failing.cases == passing.cases
-    assert failing.failures == (f"x='a' y='b': common {side} reaches 2",) * 3
+    assert failing.failures == (FIRST_OFFERED[side],) * 3
 
 
 @pytest.mark.parametrize("clashing", ["prefix", "suffix"])
@@ -117,9 +132,41 @@ def test_joint_code_bound_pass_keeps_the_twins_apart(monkeypatch, clashing):
     for before, after in zip(passing, both()):
         assert after.cases == before.cases > 0
         if after.name == f"code-{clashing}-bound":
-            assert after.failures == (f"x='a' y='b': common {clashing} reaches 2",) * 3
+            assert after.failures == (FIRST_OFFERED[clashing],) * 3
         else:
             assert after == before
+
+
+@pytest.mark.parametrize("max_xy_total", range(0, 10))
+def test_code_bounds_walk_only_the_comparable_pairs(monkeypatch, max_xy_total):
+    # with one clash per call and every failure kept, each side's
+    # failures list the pairs it handed to _head_clashes, in order
+    calls = []
+
+    def one_clash(x, y, limit, code_len):
+        calls.append((x, y, limit))
+        return 1
+
+    monkeypatch.setattr(oracles, "MAX_RECORDED_FAILURES", 10 ** 9)
+    monkeypatch.setattr(oracles, "_head_clashes", one_clash)
+    prefix, suffix = oracles._code_bounds(max_xy_total, 2)
+    pairs = [(x, y) for x in support.words_up_to(max_xy_total - 1)
+             for y in support.words_up_to(max_xy_total - len(x)) if x + y != y + x]
+    want = {"prefix": [], "suffix": []}
+    want_calls = []
+    for x, y in pairs:
+        limit = len(x) + len(y)
+        if x.startswith(y) or y.startswith(x):
+            want["prefix"].append(f"x={x!r} y={y!r}: common prefix reaches {limit}")
+            want_calls.append((x, y, limit))
+        if x.endswith(y) or y.endswith(x):
+            want["suffix"].append(f"x={x!r} y={y!r}: common suffix reaches {limit}")
+            want_calls.append((x[::-1], y[::-1], limit))
+    assert list(prefix.failures) == want["prefix"]
+    assert list(suffix.failures) == want["suffix"]
+    assert sorted(calls) == sorted(want_calls)
+    assert prefix.cases == suffix.cases == 9 * len(pairs)
+    assert (max_xy_total >= 3) == bool(calls)
 
 
 @pytest.mark.parametrize("max_xy_total", range(1, 10))
@@ -134,11 +181,24 @@ def test_head_clashes_match_a_pair_count():
     nonzero = 0
     for x, y in oracles._noncommuting_pairs(4):
         for limit in range(1, len(x) + len(y) + 1):
-            for code_len in range(1, 5):
+            for code_len in range(1, 6):
                 clashes = oracles._head_clashes(x, y, limit, code_len)
                 assert clashes == naive_head_clashes(x, y, limit, code_len), (x, y, limit, code_len)
                 nonzero += clashes > 0
     assert nonzero > 0
+
+
+@pytest.mark.parametrize("max_u_len", range(0, 6))
+@pytest.mark.parametrize("max_z_len", range(-1, 9))
+def test_conjugacy_transfer_matches_the_full_scan(max_u_len, max_z_len):
+    assert check_conjugacy_transfer(max_u_len, max_z_len) == naive_conjugacy_transfer(
+        max_u_len, max_z_len
+    )
+
+
+@pytest.mark.parametrize("max_root_len", range(2, 7))
+def test_periodicity_lemma_matches_the_pairwise_factor_sets(max_root_len):
+    assert check_periodicity_lemma(max_root_len) == naive_periodicity_lemma(max_root_len)
 
 
 @pytest.mark.parametrize("max_len", range(0, 6))
@@ -179,6 +239,35 @@ def test_absorption_pass_checks_each_statement(monkeypatch, wrong):
     monkeypatch.setattr(oracles, "primitive_root", wrong)
     monkeypatch.setattr(support, "primitive_root", wrong)
     _assert_same_verdicts(oracles._absorption_checks(4, 3), naive_absorption_checks(4, 3))
+
+
+def _swap_seed_on_odd_z(u, z, v):
+    d = transfer_decomposition(u, z, v)
+    return ConjugacyDecomposition(d.tau, d.sigma, d.ell, d.m) if len(z) % 2 else d
+
+
+def _one_more_turn_on_powers(u, z, v):
+    d = transfer_decomposition(u, z, v)
+    return ConjugacyDecomposition(d.sigma, d.tau, d.ell + 1, d.m) if d.m > 1 else d
+
+
+@pytest.mark.parametrize("wrong", [_swap_seed_on_odd_z, _one_more_turn_on_powers])
+def test_conjugacy_transfer_walk_checks_each_case(monkeypatch, wrong):
+    monkeypatch.setattr(oracles, "MAX_RECORDED_FAILURES", 10 ** 9)
+    monkeypatch.setattr(oracles, "transfer_decomposition", wrong)
+    monkeypatch.setattr(support, "transfer_decomposition", wrong)
+    _assert_same_verdicts([check_conjugacy_transfer(5, 8)], [naive_conjugacy_transfer(5, 8)])
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda p, n: {p[0] * n},
+    lambda p, n: power_factors(p, max(0, n - 1)),
+])
+def test_periodicity_lemma_reads_each_factor_set(monkeypatch, wrong):
+    monkeypatch.setattr(oracles, "MAX_RECORDED_FAILURES", 10 ** 9)
+    monkeypatch.setattr(oracles, "power_factors", wrong)
+    monkeypatch.setattr(support, "power_factors", wrong)
+    _assert_same_verdicts([check_periodicity_lemma(5)], [naive_periodicity_lemma(5)])
 
 
 @pytest.mark.parametrize("max_root_len", [0, 1])
