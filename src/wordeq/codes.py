@@ -40,20 +40,6 @@ class BinaryCode:
     def word(self, letters: str) -> "CodeWord":
         return CodeWord(self, letters)
 
-    def expansions(self, max_code_len: int) -> list[tuple[str, str]]:
-        """(letters, expansion) for code lengths 1..max_code_len, in code_words order.
-
-        Each level extends the previous level's pairs by x and by y, so
-        every expansion costs one concatenation.
-        """
-        steps = (("x", self.x), ("y", self.y))
-        level = [("", "")]
-        table: list[tuple[str, str]] = []
-        for _ in range(max_code_len):
-            level = [(c + s, e + w) for c, e in level for s, w in steps]
-            table.extend(level)
-        return table
-
 
 @dataclass(frozen=True)
 class CodeWord:
@@ -152,9 +138,9 @@ def imprimitive_in_cross_set(code: BinaryCode, max_exp: int) -> list[CodeWord]:
     x, y = code.x, code.y
     found = []
     for n in range(1, max_exp + 1):
-        if not is_primitive(x * n + y):
+        if exponent(x * n + y) > 1:
             found.append(CodeWord(code, "x" * n + "y"))
-        if n > 1 and not is_primitive(x + y * n):
+        if n > 1 and exponent(x + y * n) > 1:
             found.append(CodeWord(code, "x" + "y" * n))
     return found
 
@@ -184,19 +170,55 @@ def _centered_family(repeated: str, single: str, k: int) -> set[str]:
     return {repeated * i + single + repeated * (k - i) for i in range(k + 1)}
 
 
+def lyndon_words(max_len: int) -> list[str]:
+    """The Lyndon words over "xy" of 1..max_len letters, in lexicographic order.
+
+    Duval's generation: repeat the last word up to max_len letters, drop
+    the trailing "y"s and turn the last "x" into "y".
+
+    >>> lyndon_words(3)
+    ['x', 'xxy', 'xy', 'xyy', 'y']
+    """
+    found = []
+    w = "x" if max_len >= 1 else ""
+    while w:
+        found.append(w)
+        w = (w * (max_len // len(w) + 1))[:max_len].rstrip("y")
+        if w:
+            w = w[:-1] + "y"
+    return found
+
+
+def code_order(entry: tuple[str, int]) -> tuple[int, str]:
+    """Sort key of a (letters, exponent) entry: code_words order, by length, then x < y."""
+    return len(entry[0]), entry[0]
+
+
+def imprimitive_table(x: str, y: str, lyndon: list[str]) -> list[tuple[str, int]]:
+    """imprimitive_code_words of the code {x, y}, given lyndon_words(max_code_len).
+
+    Rotating a code word by one code letter rotates its expansion, and a
+    conjugate of an m-th power is an m-th power.  The code-primitive
+    words are the rotations of the Lyndon words, each necklace of n
+    letters having n of them, so one expansion per necklace decides all
+    of its words.
+    """
+    subst = {ord("x"): x, ord("y"): y}
+    found = []
+    for w in lyndon:
+        m = exponent(w.translate(subst))
+        if m > 1:
+            found.extend((w[r:] + w[:r], m) for r in range(len(w)))
+    found.sort(key=code_order)
+    return found
+
+
 def imprimitive_code_words(code: BinaryCode, max_code_len: int) -> list[tuple[str, int]]:
     """Code-primitive words up to max_code_len letters whose expansion is a proper power.
 
-    Returns (letters, exponent of the expansion) in code_words order.  The
-    expansion is tested first, by rotation search as in primitive_root;
-    the code-letter test runs only on the rare imprimitive expansions.
+    Returns (letters, exponent of the expansion) in code_words order.
     """
-    found = []
-    for letters, e in code.expansions(max_code_len):
-        p = (e + e).find(e, 1)
-        if p < len(e) and is_primitive(letters):
-            found.append((letters, len(e) // p))
-    return found
+    return imprimitive_table(code.x, code.y, lyndon_words(max_code_len))
 
 
 def classify_imprimitive_set(code: BinaryCode, table: list[tuple[str, int]]) -> ImprimitiveSet:

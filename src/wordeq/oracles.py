@@ -18,8 +18,10 @@ from .codes import (
     CodeWord,
     classify_imprimitive_set,
     classify_x_power,
-    imprimitive_code_words,
+    code_order,
     imprimitive_in_cross_set,
+    imprimitive_table,
+    lyndon_words,
 )
 from .words import (
     ParameterError,
@@ -61,7 +63,8 @@ class _Recorder:
 
     A description is a format string and its arguments, joined with
     ``%`` only when a failure is kept, so passing cases cost no string
-    formatting.
+    formatting.  An argument that costs a list or a dict to build is
+    built only for a failing case: a passing one just counts.
     """
 
     def __init__(self) -> None:
@@ -269,26 +272,73 @@ def check_conjugacy_transfer(max_u_len: int = 5, max_z_len: int = 7) -> OracleRe
     return rec.result("conjugacy-transfer")
 
 
-def check_cross_set(max_word_len: int = 4, max_exp: int = 6) -> OracleResult:
-    """The cross set x y^+ u x^+ y holds at most one imprimitive word."""
-    rec = _Recorder()
-    for x, y in _noncommuting_pairs(max_word_len):
-        hits = imprimitive_in_cross_set(BinaryCode(x, y), max_exp)
-        rec.record(len(hits) <= 1, "x=%r y=%r: %s", x, y, [c.letters for c in hits])
-    return rec.result("cross-set-imprimitivity")
+_AB_SWAP = str.maketrans("ab", "ba")
+_XY_SWAP = str.maketrans("xy", "yx")
 
 
-def _code_word_checks(max_word_len: int, max_code_len: int) -> list[OracleResult]:
-    """The three code-word oracles in one pass over the code pairs.
+def _code_pair_tables(
+    max_word_len: int, max_exp: int | None, max_code_len: int
+) -> Iterator[tuple[BinaryCode, list[tuple[str, int]], int | None]]:
+    """Each code pair with its imprimitive_code_words table and cross-set hit count.
 
-    Each code's table of code-primitive words with imprimitive expansions
-    is built once and read by all three: conjugacy into the cross set,
-    the centered shape of the set, and the power shape of each member.
+    The pairs come in _noncommuting_pairs order.  The hit count is
+    len(imprimitive_in_cross_set(code, max_exp)), or None when max_exp is
+    None.  Three symmetries map one code's table onto another's: swapping
+    the letters a and b keeps it, reversing x and y reverses each of its
+    code-letter words, and swapping x and y swaps their letters.  None
+    moves the count, since each cross-set word lands on a conjugate of a
+    cross-set word.  So the first pair met of each class of up to eight
+    builds the table and the count, and every other member reads them
+    with its letters mapped and re-sorted.  A class is dropped once all
+    its members are met.
     """
-    conjugacy, set_shape, power_shape = _Recorder(), _Recorder(), _Recorder()
+    lyndon = lyndon_words(max_code_len)
+    # images[w][g]: w reversed when bit 0 of g is set, a/b swapped when bit 1 is
+    images = {}
+    for w in all_words(max_word_len, alphabet(2)):
+        swapped = w.translate(_AB_SWAP)
+        images[w] = (w, w[::-1], swapped, swapped[::-1])
+    pending: dict[tuple[str, str], tuple] = {}
     for x, y in _noncommuting_pairs(max_word_len):
         code = BinaryCode(x, y)
-        table = imprimitive_code_words(code, max_code_len)
+        shared = pending.pop((x, y), None)
+        if shared is None:
+            table = imprimitive_table(x, y, lyndon)
+            hits = None if max_exp is None else len(imprimitive_in_cross_set(code, max_exp))
+            for g, (gx, gy) in enumerate(zip(images[x], images[y])):
+                pending.setdefault((gx, gy), (table, hits, g & 1, False))
+                pending.setdefault((gy, gx), (table, hits, g & 1, True))
+            del pending[(x, y)]
+        else:
+            table, hits, reverse, swap = shared
+            if reverse or swap:
+                step = -1 if reverse else 1
+                letter_map = _XY_SWAP if swap else {}
+                table = sorted(((letters[::step].translate(letter_map), m) for letters, m in table),
+                               key=code_order)
+        yield code, table, hits
+
+
+def _code_pair_checks(max_word_len: int, max_exp: int | None, max_code_len: int) -> list[OracleResult]:
+    """The cross-set oracle and the three code-word oracles in one walk over the code pairs.
+
+    Each code's table of code-primitive words with imprimitive expansions
+    is read by the three code-word oracles: conjugacy into the cross set,
+    the centered shape of the set, and the power shape of each member.
+    With max_exp None the cross set is skipped, and max_code_len 0
+    leaves every table empty.  The per-code checks run on every code; a
+    cross-set count above one lists that code's own hits for its failure
+    description.
+    """
+    cross, conjugacy, set_shape, power_shape = _Recorder(), _Recorder(), _Recorder(), _Recorder()
+    for code, table, hits in _code_pair_tables(max_word_len, max_exp, max_code_len):
+        x, y = code.x, code.y
+        if hits is not None:
+            if hits <= 1:
+                cross.cases += 1
+            else:
+                own = [c.letters for c in imprimitive_in_cross_set(code, max_exp)]
+                cross.record(False, "x=%r y=%r: %s", x, y, own)
         for letters, e in table:
             n = len(letters)
             in_cross = are_conjugate(letters, "x" * (n - 1) + "y") or are_conjugate(
@@ -322,12 +372,21 @@ def _code_word_checks(max_word_len: int, max_code_len: int) -> list[OracleResult
             k = result.k or 0
             expected = {repeated * i + single + repeated * (k - i) for i in range(k + 1)}
             ok = k >= 1 and {c.letters for c in result.members} == expected
-        set_shape.record(ok, "x=%r y=%r: %s", x, y, result.to_json_obj())
+        if ok:
+            set_shape.cases += 1
+        else:
+            set_shape.record(False, "x=%r y=%r: %s", x, y, result.to_json_obj())
     return [
+        cross.result("cross-set-imprimitivity"),
         conjugacy.result("imprimitive-conjugacy"),
         set_shape.result("imprimitive-set-shape"),
         power_shape.result("power-shape"),
     ]
+
+
+def check_cross_set(max_word_len: int = 4, max_exp: int = 6) -> OracleResult:
+    """The cross set x y^+ u x^+ y holds at most one imprimitive word."""
+    return _code_pair_checks(max_word_len, max_exp, 0)[0]
 
 
 def check_imprimitive_conjugacy(max_word_len: int = 4, max_code_len: int = 5) -> OracleResult:
@@ -336,19 +395,19 @@ def check_imprimitive_conjugacy(max_word_len: int = 4, max_code_len: int = 5) ->
     Beyond the code letters themselves, their existence also forces the
     primitive roots of x and y to be non-conjugate.
     """
-    return _code_word_checks(max_word_len, max_code_len)[0]
+    return _code_pair_checks(max_word_len, None, max_code_len)[1]
 
 
 def check_imprimitive_set_shape(max_word_len: int = 4, max_code_len: int = 5) -> OracleResult:
     """The collected code-primitive imprimitive set always has a centered shape."""
     if max_code_len < 2:
         raise ParameterError("max_code_len must be >= 2")
-    return _code_word_checks(max_word_len, max_code_len)[1]
+    return _code_pair_checks(max_word_len, None, max_code_len)[2]
 
 
 def check_power_shape(max_word_len: int = 4, max_code_len: int = 5) -> OracleResult:
     """A code-primitive word whose expansion is a proper power carries a single odd letter."""
-    return _code_word_checks(max_word_len, max_code_len)[2]
+    return _code_pair_checks(max_word_len, None, max_code_len)[3]
 
 
 def _absorbed(w: str, t: str, root: str) -> bool:
@@ -467,8 +526,7 @@ def run_lemma_suite(max_len: int = 6) -> list[OracleResult]:
         *_code_bounds(max_xy_total=max_len + 2, max_code_len=max(1, max_len - 2)),
         check_overlap_commutation(max_word_len=max(2, 2 * (max_len - 1))),
         check_conjugacy_transfer(max_u_len=max(1, max_len - 1), max_z_len=max_len + 1),
-        check_cross_set(max_word_len=word_cap, max_exp=max(1, max_len)),
-        *_code_word_checks(max_word_len=word_cap, max_code_len=code_cap),
+        *_code_pair_checks(max_word_len=word_cap, max_exp=max(1, max_len), max_code_len=code_cap),
         *_absorption_checks(max_word_len=word_cap, max_exp=3),
         *_factor_pair_checks(max_v_len=word_cap, max_exp=3),
     ]

@@ -39,6 +39,11 @@ def naive_smallest_period(w: str) -> int:
     raise ValueError("empty word")
 
 
+def naive_exponent(w: str) -> int:
+    """The power w is of its divisor-prefix root: the expansion test of the code references."""
+    return len(w) // len(naive_primitive_root(w))
+
+
 def naive_imprimitive_code_words(code, max_code_len: int):
     """(letters, exponent) of the code-primitive words with imprimitive expansions.
 
@@ -47,9 +52,9 @@ def naive_imprimitive_code_words(code, max_code_len: int):
     """
     found = []
     for c in code_words(code, max_code_len):
-        root = naive_primitive_root(c.expansion)
-        if naive_primitive_root(c.letters) == c.letters and root != c.expansion:
-            found.append((c.letters, len(c.expansion) // len(root)))
+        e = naive_exponent(c.expansion)
+        if naive_primitive_root(c.letters) == c.letters and e > 1:
+            found.append((c.letters, e))
     return found
 
 
@@ -62,7 +67,23 @@ def naive_cross_set(code, max_exp: int):
     members = {"x" * n + "y" for n in range(1, max_exp + 1)}
     members |= {"x" + "y" * n for n in range(1, max_exp + 1)}
     return [c.letters for c in code_words(code, max_exp + 1)
-            if c.letters in members and naive_primitive_root(c.expansion) != c.expansion]
+            if c.letters in members and naive_exponent(c.expansion) > 1]
+
+
+def naive_code_pair_tables(max_word_len: int, max_exp, max_code_len: int):
+    """(code, table, cross-set hit count) for every code pair, each read off its own code.
+
+    A stand-in for oracles._code_pair_tables with no symmetry classes and
+    no Lyndon words: the pairs come in the same order, and each table and
+    count is the naive one of that pair.
+    """
+    for x in all_words(max_word_len, "ab"):
+        for y in all_words(max_word_len, "ab"):
+            if x + y == y + x:
+                continue
+            code = BinaryCode(x, y)
+            hits = None if max_exp is None else len(naive_cross_set(code, max_exp))
+            yield code, naive_imprimitive_code_words(code, max_code_len), hits
 
 
 def naive_code_bounds(max_xy_total: int, max_code_len: int):

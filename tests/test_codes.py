@@ -14,6 +14,7 @@ from wordeq.codes import (
     imprimitive_code_words,
     imprimitive_in_cross_set,
     is_x_primitive,
+    lyndon_words,
     x_primitive_imprimitive_set,
 )
 from wordeq.oracles import check_imprimitive_set_shape
@@ -214,14 +215,24 @@ def test_code_words_enumeration():
 
 
 def test_expansion_table_matches_code_words():
-    # every non-commuting pair with |x|, |y| <= 3, code lengths up to 5
+    # every non-commuting pair with |x|, |y| <= 3, code lengths 1 to 7:
+    # one expansion per necklace stands for all of its rotations
     pairs = [(x, y) for x in all_words(3, "ab") for y in all_words(3, "ab") if not commutes(x, y)]
     assert len(pairs) == 170
     members = 0
     for x, y in pairs:
         code = BinaryCode(x, y)
-        assert code.expansions(5) == [(c.letters, c.expansion) for c in code_words(code, 5)]
-        table = imprimitive_code_words(code, 5)
-        assert table == naive_imprimitive_code_words(code, 5)
-        members += len(table)
+        for max_code_len in range(1, 8):
+            table = imprimitive_code_words(code, max_code_len)
+            assert table == naive_imprimitive_code_words(code, max_code_len), (x, y, max_code_len)
+            members += len(table)
     assert members > 0
+
+
+@pytest.mark.parametrize("max_len", range(-1, 10))
+def test_lyndon_words_are_the_least_rotations(max_len):
+    # a Lyndon word is primitive and strictly below its other rotations
+    want = [w for w in all_words(max_len, "xy")
+            if all(w < w[r:] + w[:r] for r in range(1, len(w)))]
+    assert lyndon_words(max_len) == sorted(want)
+    assert len(lyndon_words(4)) == 8 and len(lyndon_words(7)) == 41

@@ -2,11 +2,12 @@ import itertools
 
 import pytest
 
-from wordeq import oracles
-from wordeq.codes import PowerShape
+from wordeq import codes, oracles
+from wordeq.codes import BinaryCode, ImprimitiveSet, PowerShape, imprimitive_code_words
 from wordeq.words import (
     ConjugacyDecomposition,
     ParameterError,
+    exponent,
     power_factors,
     transfer_decomposition,
 )
@@ -31,7 +32,9 @@ import support
 from support import (
     naive_absorption_checks,
     naive_code_bounds,
+    naive_code_pair_tables,
     naive_conjugacy_transfer,
+    naive_cross_set,
     naive_factor_pair_checks,
     naive_head_clashes,
     naive_periodicity_lemma,
@@ -289,6 +292,86 @@ def test_suite_case_counts_at_knob_7():
     ]
 
 
+@pytest.mark.parametrize("max_word_len, max_exp, max_code_len", [
+    (0, 3, 3), (1, 1, 1), (2, 4, 6), (3, 5, 4), (3, None, 7), (4, 6, 5), (4, 2, 0),
+])
+def test_code_pair_tables_match_each_codes_own(max_word_len, max_exp, max_code_len):
+    # one table and one cross-set count per symmetry class, mapped onto
+    # every member, must equal what each code computes for itself
+    walked = list(oracles._code_pair_tables(max_word_len, max_exp, max_code_len))
+    pairs = list(oracles._noncommuting_pairs(max_word_len))
+    assert [(code.x, code.y) for code, _, _ in walked] == pairs
+    for code, table, hits in walked:
+        assert table == imprimitive_code_words(code, max_code_len), code
+        if max_exp is None:
+            assert hits is None
+        else:
+            assert hits == len(naive_cross_set(code, max_exp)), code
+
+
+def _cyclic_factor_test(p):
+    """A wrong power test: 2 when the expansion, read cyclically, has p or an image of p."""
+    ab = str.maketrans("ab", "ba")
+    factors = {p, p[::-1], p.translate(ab), p[::-1].translate(ab)}
+    n = len(p)
+    return lambda w: 2 if len(w) >= n and any(f in w + w[:n - 1] for f in factors) else exponent(w)
+
+
+# wrong power tests that answer alike for the rotations of an expansion,
+# its reversal and its a/b swap, so for the rotations of a code word and
+# for the images of a code under the three symmetries: the walk may
+# share them across a necklace and a symmetry class.  A wrong test
+# without that invariance makes the walk and the reference differ by
+# design.  Binary necklaces of fewer than six letters are each a rotation
+# of their reversal, so the code length must reach 6 before a test (the
+# cyclic factor here) can see whether the walk reverses a table.
+WRONG_POWER_TESTS = {
+    "length-8k": lambda w: 2 if len(w) % 8 == 0 else exponent(w),
+    "length-7k": lambda w: 2 if len(w) % 7 == 0 else exponent(w),
+    "length-6": lambda w: 3 if len(w) == 6 else exponent(w),
+    "balanced": lambda w: 2 if w.count("a") == w.count("b") else exponent(w),
+    "cyclic-factor": _cyclic_factor_test("aabaabba"),
+}
+
+
+@pytest.mark.parametrize("wrong", WRONG_POWER_TESTS.values(), ids=WRONG_POWER_TESTS.keys())
+def test_code_pair_walk_checks_each_table(monkeypatch, wrong):
+    # with every failure kept, the four oracles must fail the same cases
+    # whether the tables come from the walk or from each code's naive scan
+    monkeypatch.setattr(oracles, "MAX_RECORDED_FAILURES", 10 ** 9)
+    monkeypatch.setattr(codes, "exponent", wrong)
+    monkeypatch.setattr(support, "naive_exponent", wrong)
+    got = oracles._code_pair_checks(4, 6, 6)
+    monkeypatch.setattr(oracles, "_code_pair_tables", naive_code_pair_tables)
+    _assert_same_verdicts(got, oracles._code_pair_checks(4, 6, 6))
+
+
+def test_cyclic_factor_test_tells_a_table_from_its_reversal(monkeypatch):
+    monkeypatch.setattr(codes, "exponent", WRONG_POWER_TESTS["cyclic-factor"])
+    chiral = 0
+    for x, y in oracles._noncommuting_pairs(4):
+        table = imprimitive_code_words(BinaryCode(x, y), 6)
+        mirrored = imprimitive_code_words(BinaryCode(x[::-1], y[::-1]), 6)
+        assert sorted(w[::-1] for w, _ in table) == sorted(w for w, _ in mirrored)
+        chiral += sorted(table) != sorted(mirrored)
+    assert chiral > 0
+
+
+def test_cross_set_failures_list_each_codes_own_hits(monkeypatch):
+    # a class shares one hit count, but the x/y swap moves the hits
+    # between x^n y and x y^n: a failing member lists its own
+    monkeypatch.setattr(oracles, "MAX_RECORDED_FAILURES", 10 ** 9)
+    wrong = WRONG_POWER_TESTS["length-7k"]
+    monkeypatch.setattr(codes, "exponent", wrong)
+    monkeypatch.setattr(support, "naive_exponent", wrong)
+    got = check_cross_set(4, 6)
+    own = {(x, y): naive_cross_set(BinaryCode(x, y), 6) for x, y in oracles._noncommuting_pairs(4)}
+    want = [f"x={x!r} y={y!r}: {hits}" for (x, y), hits in own.items() if len(hits) > 1]
+    assert list(got.failures) == want
+    assert 0 < len(want) < got.cases
+    assert own[("a", "bbb")] == ["xyy", "xxxxy"] and own[("bbb", "a")] == ["xxy", "xyyyy"]
+
+
 def test_folded_code_word_pass_keeps_oracles_apart(monkeypatch):
     # a wrong power shape must fail power-shape alone; the other two
     # oracles read the same table and must not move
@@ -324,6 +407,20 @@ def test_violated_power_shape_lemma_is_recorded(monkeypatch, capsys):
             assert after == before
     assert cli.main(["lemmas", "--max-len", "5"]) == 3
     assert "power-shape violated" in capsys.readouterr().err
+
+
+def test_set_shape_failure_describes_the_classified_set(monkeypatch):
+    # the description of a failing set is built only on failure, as the
+    # set's JSON object
+    wrong = ImprimitiveSet("x-centered", 2, ())
+    monkeypatch.setattr(oracles, "classify_imprimitive_set", lambda code, table: wrong)
+    result = check_imprimitive_set_shape(max_word_len=2, max_code_len=3)
+    assert result.cases == 26
+    assert result.failures == (
+        "x='a' y='b': {'shape': 'x-centered', 'k': 2, 'members': []}",
+        "x='a' y='ab': {'shape': 'x-centered', 'k': 2, 'members': []}",
+        "x='a' y='ba': {'shape': 'x-centered', 'k': 2, 'members': []}",
+    )
 
 
 def test_code_word_oracles_at_code_length_one():
