@@ -282,6 +282,20 @@ def naive_head_clashes(x: str, y: str, limit: int, code_len: int) -> int:
     return sum(s == t for s in heads["x"] for t in heads["y"])
 
 
+def naive_tail_clashes(x: str, y: str, limit: int, code_len: int) -> int:
+    """Pairs (t x, t' y) of code words whose expansions agree on their last ``limit`` letters.
+
+    The mirror of ``naive_head_clashes``: every pair of code words of at
+    most ``code_len`` letters, grouped by their last code letter.
+    """
+    tails = {"x": [], "y": []}
+    for c in code_words(BinaryCode(x, y), code_len):
+        e = c.expansion
+        if len(e) >= limit:
+            tails[c.letters[-1]].append(e[len(e) - limit:])
+    return sum(s == t for s in tails["x"] for t in tails["y"])
+
+
 def words_up_to(max_len: int, letters: str = "ab", min_len: int = 1):
     for n in range(min_len, max_len + 1):
         for tup in product(letters, repeat=n):

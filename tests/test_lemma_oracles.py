@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from wordeq import codes, oracles
@@ -38,6 +36,7 @@ from support import (
     naive_factor_pair_checks,
     naive_head_clashes,
     naive_periodicity_lemma,
+    naive_tail_clashes,
 )
 
 # the individual checks at reduced ranges keep this module quick; the
@@ -85,65 +84,27 @@ def test_suite_case_counts_at_knob_5():
     ]
 
 
-# the first pair each side of _code_bounds(4, 2) hands to _head_clashes
-FIRST_OFFERED = {
-    "prefix": "x='a' y='ab': common prefix reaches 3",
-    "suffix": "x='a' y='ba': common suffix reaches 3",
-}
-
-
-def _clash_on(side):
-    """A stand-in for oracles._head_clashes that reports 9 clashes on one side's first pair.
-
-    The suffix side hands over reversed words, so both first pairs
-    arrive as ('a', 'ab'), once per side in each run, and _code_bounds
-    walks each x's prefix side before its suffix side.
-    """
-    sides = itertools.cycle(("prefix", "suffix"))
-    honest = oracles._head_clashes
-
-    def counter(x, y, limit, code_len):
-        if (x, y) == ("a", "ab") and next(sides) == side:
-            return 9
-        return honest(x, y, limit, code_len)
-
-    return counter
-
-
 @pytest.mark.parametrize("oracle, side", [
     (check_code_prefix_bound, "prefix"),
     (check_code_suffix_bound, "suffix"),
 ])
 def test_code_bound_records_first_failures(monkeypatch, oracle, side):
+    # 9 clashes counted for the pair ('a', 'ab') fail both bounds: the
+    # prefix side names the pair itself, the suffix side its reversal
     passing = oracle(max_xy_total=4, max_code_len=2)
-    monkeypatch.setattr(oracles, "_head_clashes", _clash_on(side))
+    monkeypatch.setattr(oracles, "_head_clashes",
+                        lambda x, y, limit, code_len: 9 if (x, y) == ("a", "ab") else 0)
     failing = oracle(max_xy_total=4, max_code_len=2)
     assert failing.cases == passing.cases
-    assert failing.failures == (FIRST_OFFERED[side],) * 3
-
-
-@pytest.mark.parametrize("clashing", ["prefix", "suffix"])
-def test_joint_code_bound_pass_keeps_the_twins_apart(monkeypatch, clashing):
-    # one pass counts both code bounds: clashes counted on the prefix
-    # side must fail the prefix bound alone, and on the suffix side the
-    # suffix bound alone
-    def both():
-        return [check_code_prefix_bound(4, 2), check_code_suffix_bound(4, 2)]
-
-    passing = both()
-    monkeypatch.setattr(oracles, "_head_clashes", _clash_on(clashing))
-    for before, after in zip(passing, both()):
-        assert after.cases == before.cases > 0
-        if after.name == f"code-{clashing}-bound":
-            assert after.failures == (FIRST_OFFERED[clashing],) * 3
-        else:
-            assert after == before
+    y = "ab" if side == "prefix" else "ba"
+    assert failing.failures == (f"x='a' y={y!r}: common {side} reaches 3",) * 3
 
 
 @pytest.mark.parametrize("max_xy_total", range(0, 10))
 def test_code_bounds_walk_only_the_comparable_pairs(monkeypatch, max_xy_total):
     # with one clash per call and every failure kept, each side's
-    # failures list the pairs it handed to _head_clashes, in order
+    # failures list the comparable pairs, and _head_clashes sees each
+    # pair (x, xw) once, in walk order
     calls = []
 
     def one_clash(x, y, limit, code_len):
@@ -156,18 +117,15 @@ def test_code_bounds_walk_only_the_comparable_pairs(monkeypatch, max_xy_total):
     pairs = [(x, y) for x in support.words_up_to(max_xy_total - 1)
              for y in support.words_up_to(max_xy_total - len(x)) if x + y != y + x]
     want = {"prefix": [], "suffix": []}
-    want_calls = []
     for x, y in pairs:
         limit = len(x) + len(y)
         if x.startswith(y) or y.startswith(x):
             want["prefix"].append(f"x={x!r} y={y!r}: common prefix reaches {limit}")
-            want_calls.append((x, y, limit))
         if x.endswith(y) or y.endswith(x):
             want["suffix"].append(f"x={x!r} y={y!r}: common suffix reaches {limit}")
-            want_calls.append((x[::-1], y[::-1], limit))
     assert list(prefix.failures) == want["prefix"]
     assert list(suffix.failures) == want["suffix"]
-    assert sorted(calls) == sorted(want_calls)
+    assert calls == [(x, y, len(x) + len(y)) for x, y in pairs if y.startswith(x)]
     assert prefix.cases == suffix.cases == 9 * len(pairs)
     assert (max_xy_total >= 3) == bool(calls)
 
@@ -181,14 +139,22 @@ def test_code_bounds_match_the_full_table(max_xy_total, max_code_len):
 
 
 def test_head_clashes_match_a_pair_count():
-    nonzero = 0
+    # at limit |x|+|y| every count is 0 (the lemma itself), so the full
+    # table cannot catch a wrong swap or reversal symmetry; shorter
+    # limits can
+    heads = tails = 0
     for x, y in oracles._noncommuting_pairs(4):
         for limit in range(1, len(x) + len(y) + 1):
             for code_len in range(1, 6):
+                case = (x, y, limit, code_len)
                 clashes = oracles._head_clashes(x, y, limit, code_len)
-                assert clashes == naive_head_clashes(x, y, limit, code_len), (x, y, limit, code_len)
-                nonzero += clashes > 0
-    assert nonzero > 0
+                assert clashes == naive_head_clashes(x, y, limit, code_len), case
+                assert oracles._head_clashes(y, x, limit, code_len) == clashes, case
+                mirrored = oracles._head_clashes(x[::-1], y[::-1], limit, code_len)
+                assert naive_tail_clashes(x, y, limit, code_len) == mirrored, case
+                heads += clashes > 0
+                tails += mirrored > 0
+    assert heads > 0 and tails > 0
 
 
 @pytest.mark.parametrize("max_u_len", range(0, 6))
@@ -278,6 +244,13 @@ def test_periodicity_lemma_needs_roots_of_length_two(max_root_len):
     # no pair of roots shorter than 2 can witness the sharp bound
     with pytest.raises(ParameterError):
         check_periodicity_lemma(max_root_len)
+
+
+@pytest.mark.parametrize("max_word_len", [0, 1])
+def test_cross_set_needs_an_exponent(max_word_len):
+    # refused whether or not any code pair exists to try the exponent on
+    with pytest.raises(ParameterError, match="max_exp must be >= 1"):
+        check_cross_set(max_word_len, 0)
 
 
 def test_suite_case_counts_at_knob_6():
