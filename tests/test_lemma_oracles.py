@@ -100,6 +100,30 @@ def test_code_bound_records_first_failures(monkeypatch, oracle, side):
     assert failing.failures == (f"x='a' y={y!r}: common {side} reaches 3",) * 3
 
 
+@pytest.mark.parametrize("clashing", ["prefix", "suffix"])
+def test_joint_code_bound_pass_keeps_the_twins_apart(monkeypatch, clashing):
+    # one pass counts both code bounds from one count per pair: a clash
+    # on a pair comparable on one side must fail that side on the pair
+    # and its swap, and the other side only on their reversals
+    x, y = ("a", "ab") if clashing == "prefix" else ("b", "ab")
+    other = "suffix" if clashing == "prefix" else "prefix"
+    counted = (x, y) if clashing == "prefix" else (x[::-1], y[::-1])
+    passing = oracles._code_bounds(4, 2)
+    monkeypatch.setattr(oracles, "_head_clashes",
+                        lambda *args: 1 if args[:2] == counted else 0)
+    results = dict(zip(("prefix", "suffix"), oracles._code_bounds(4, 2)))
+
+    def named(side, x, y):
+        return (f"x={x!r} y={y!r}: common {side} reaches 3",
+                f"x={y!r} y={x!r}: common {side} reaches 3")
+
+    for before, (side, after) in zip(passing, results.items()):
+        assert after.name == before.name == f"code-{side}-bound"
+        assert after.cases == before.cases > 0
+    assert results[clashing].failures == named(clashing, x, y)
+    assert results[other].failures == named(other, x[::-1], y[::-1])
+
+
 @pytest.mark.parametrize("max_xy_total", range(0, 10))
 def test_code_bounds_walk_only_the_comparable_pairs(monkeypatch, max_xy_total):
     # with one clash per call and every failure kept, each side's
