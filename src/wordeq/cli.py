@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="check that a^i b^j a^k forces periodicity up to the bound")
     _add_search_flags(p_verify)
     _add_format_flag(p_verify)
-    p_verify.set_defaults(subparser=p_verify)
+    p_verify.set_defaults(subparser=p_verify, run=cmd_verify)
 
     p_solve = sub.add_parser("solve",
                              help="enumerate and classify all solutions up to the bound")
@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format_flag(p_solve)
     p_solve.add_argument("--distinct-only", action=argparse.BooleanOptionalAction, default=True,
                          help="skip the trivial solutions (x, y) == (u, v)")
-    p_solve.set_defaults(subparser=p_solve)
+    p_solve.set_defaults(subparser=p_solve, run=cmd_solve)
 
     p_family = sub.add_parser("family",
                               help="build a boundary family instance, or validate a grid of them")
@@ -90,14 +90,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_family.add_argument("--max-len", type=int, default=2,
                           help="grid mode: maximum parameter word length")
     _add_format_flag(p_family)
-    p_family.set_defaults(subparser=p_family)
+    p_family.set_defaults(subparser=p_family, run=cmd_family)
 
     p_lemmas = sub.add_parser("lemmas",
                               help="run the bounded oracles for the classical lemmas")
     p_lemmas.add_argument("--max-len", type=int, default=6,
                           help="size knob for the oracle ranges (default 6)")
     _add_format_flag(p_lemmas)
-    p_lemmas.set_defaults(subparser=p_lemmas)
+    p_lemmas.set_defaults(subparser=p_lemmas, run=cmd_lemmas)
 
     return parser
 
@@ -118,7 +118,7 @@ def _report_text(report: SolutionReport) -> None:
         _print_witnesses(report.nonperiodic)
 
 
-def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     exps = Exponents(args.i, args.j, args.k)
     # checked before the note, so a usage error never comes with it
     _validate_search_args(exps, args.alphabet, args.max_len, args.shards)
@@ -137,7 +137,7 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     return EX_OK if verdict.forced_up_to_bound else EX_WITNESS
 
 
-def cmd_solve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def cmd_solve(args: argparse.Namespace) -> int:
     report = enumerate_solutions(
         (args.i, args.j, args.k), args.alphabet, args.max_len,
         distinct_only=args.distinct_only, shards=args.shards,
@@ -156,7 +156,7 @@ def _family_json(family: str, params: dict, inst: EquationInstance) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def cmd_family(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def cmd_family(args: argparse.Namespace) -> int:
     if args.family == "grid":
         summary = validate_family_grid(args.max_len, args.param_k, args.param_j, args.alphabet)
         if args.format == "json":
@@ -176,11 +176,11 @@ def cmd_family(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         return EX_OK
 
     if args.alpha is None:
-        parser.error("--alpha is required")
+        args.subparser.error("--alpha is required")
     second_name = "--beta" if args.family == "j2" else "--gamma"
     second = args.beta if args.family == "j2" else args.gamma
     if second is None:
-        parser.error(f"{second_name} is required for family {args.family}")
+        args.subparser.error(f"{second_name} is required for family {args.family}")
     check_letters(args.alpha, args.alphabet)
     check_letters(second, args.alphabet)
 
@@ -208,7 +208,7 @@ def cmd_family(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     return EX_OK
 
 
-def cmd_lemmas(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def cmd_lemmas(args: argparse.Namespace) -> int:
     results = run_lemma_suite(args.max_len)
     if args.format == "json":
         print(json.dumps([r.to_json_obj() for r in results], indent=2))
@@ -226,16 +226,9 @@ def cmd_lemmas(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "verify": cmd_verify,
-        "solve": cmd_solve,
-        "family": cmd_family,
-        "lemmas": cmd_lemmas,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args.subparser, args)
+        return args.run(args)
     except ParameterError as err:
         args.subparser.error(str(err))
 

@@ -116,6 +116,8 @@ def validate_family_grid(
     """
     if max_param_len < 1 or max_k < 1 or max_j < 1:
         raise ParameterError("grid bounds must be >= 1")
+    if max_k > 500 or max_j > 1001:
+        raise ParameterError("grid needs max_k <= 500 and max_j <= 1001: its cost is cubic in both")
     a, n = len(alphabet(alphabet_size)), max_param_len
     odd_js = range(3, max_j + 1, 2)
     for k in range(1, max_k + 1):

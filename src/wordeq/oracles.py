@@ -97,11 +97,11 @@ def _noncommuting_pairs(max_len: int) -> Iterator[tuple[str, str]]:
 def check_periodicity_lemma(max_root_len: int = 5) -> OracleResult:
     """Primitive p, q sharing a factor of length |p|+|q|-1 must be conjugate.
 
-    Also checks the two side claims: distinct prefix-comparable
-    primitive words never share such a factor, and the bound is sharp,
-    i.e. some non-conjugate pair shares a factor of length |p|+|q|-2.
-    The first pair with |p|+|q|-2 >= 1 has roots of length 2, so shorter
-    roots cannot witness sharpness and are refused.
+    Distinct prefix-comparable words differ in length, so the main claim
+    covers them.  Also checks that the bound is sharp: some non-conjugate
+    pair shares a factor of length |p|+|q|-2.  The first pair with
+    |p|+|q|-2 >= 1 has roots of length 2, so shorter roots cannot witness
+    sharpness and are refused.
     """
     if max_root_len < 2:
         raise ParameterError("max_root_len must be >= 2")
@@ -120,8 +120,6 @@ def check_periodicity_lemma(max_root_len: int = 5) -> OracleResult:
                 if not sharp and short_len >= 1:
                     if factors[p][short_len] & factors[q][short_len]:
                         sharp = True
-            elif p != q and (p.startswith(q) or q.startswith(p)):
-                rec.record(not shared, "prefix-comparable p=%r q=%r share a long factor", p, q)
     rec.record(sharp, "no non-conjugate pair attains a common factor of length |p|+|q|-2")
     return rec.result("periodicity-lemma")
 
@@ -265,13 +263,13 @@ _XY_SWAP = str.maketrans("xy", "yx")
 
 
 def _code_pair_tables(
-    max_word_len: int, max_exp: int | None, max_code_len: int
-) -> Iterator[tuple[BinaryCode, list[tuple[str, int]], int | None]]:
+    max_word_len: int, max_exp: int, max_code_len: int
+) -> Iterator[tuple[BinaryCode, list[tuple[str, int]], int]]:
     """Each code pair with its imprimitive_code_words table and cross-set hit count.
 
     The pairs come in _noncommuting_pairs order.  The hit count is
-    len(imprimitive_in_cross_set(code, max_exp)), or None when max_exp is
-    None.  Three symmetries map one code's table onto another's: swapping
+    len(imprimitive_in_cross_set(code, max_exp)).
+    Three symmetries map one code's table onto another's: swapping
     the letters a and b keeps it, reversing x and y reverses each of its
     code-letter words, and swapping x and y swaps their letters.  None
     moves the count, since each cross-set word lands on a conjugate of a
@@ -292,7 +290,7 @@ def _code_pair_tables(
         shared = pending.pop((x, y), None)
         if shared is None:
             table = imprimitive_table(x, y, lyndon)
-            hits = None if max_exp is None else len(imprimitive_in_cross_set(code, max_exp))
+            hits = len(imprimitive_in_cross_set(code, max_exp))
             for g, (gx, gy) in enumerate(zip(images[x], images[y])):
                 pending.setdefault((gx, gy), (table, hits, g & 1, False))
                 pending.setdefault((gy, gx), (table, hits, g & 1, True))
@@ -307,26 +305,24 @@ def _code_pair_tables(
         yield code, table, hits
 
 
-def _code_pair_checks(max_word_len: int, max_exp: int | None, max_code_len: int) -> list[OracleResult]:
+def _code_pair_checks(max_word_len: int, max_exp: int, max_code_len: int) -> list[OracleResult]:
     """The cross-set oracle and the three code-word oracles in one walk over the code pairs.
 
     Each code's table of code-primitive words with imprimitive expansions
     is read by the three code-word oracles: conjugacy into the cross set,
     the centered shape of the set, and the power shape of each member.
-    With max_exp None the cross set is skipped, and max_code_len 0
-    leaves every table empty.  The per-code checks run on every code; a
-    cross-set count above one lists that code's own hits for its failure
-    description.
+    max_code_len 0 leaves every table empty.  The per-code checks run on
+    every code; a cross-set count above one lists that code's own hits
+    for its failure description.
     """
     cross, conjugacy, set_shape, power_shape = _Recorder(), _Recorder(), _Recorder(), _Recorder()
     for code, table, hits in _code_pair_tables(max_word_len, max_exp, max_code_len):
         x, y = code.x, code.y
-        if hits is not None:
-            if hits <= 1:
-                cross.cases += 1
-            else:
-                own = [c.letters for c in imprimitive_in_cross_set(code, max_exp)]
-                cross.record(False, "x=%r y=%r: %s", x, y, own)
+        if hits <= 1:
+            cross.cases += 1
+        else:
+            own = [c.letters for c in imprimitive_in_cross_set(code, max_exp)]
+            cross.record(False, "x=%r y=%r: %s", x, y, own)
         for letters, e in table:
             n = len(letters)
             in_cross = are_conjugate(letters, "x" * (n - 1) + "y") or are_conjugate(
@@ -385,25 +381,25 @@ def check_imprimitive_conjugacy(max_word_len: int = 4, max_code_len: int = 5) ->
     Beyond the code letters themselves, their existence also forces the
     primitive roots of x and y to be non-conjugate.
     """
-    return _code_pair_checks(max_word_len, None, max_code_len)[1]
+    return _code_pair_checks(max_word_len, 1, max_code_len)[1]
 
 
 def check_imprimitive_set_shape(max_word_len: int = 4, max_code_len: int = 5) -> OracleResult:
     """The collected code-primitive imprimitive set always has a centered shape."""
     if max_code_len < 2:
         raise ParameterError("max_code_len must be >= 2")
-    return _code_pair_checks(max_word_len, None, max_code_len)[2]
+    return _code_pair_checks(max_word_len, 1, max_code_len)[2]
 
 
 def check_power_shape(max_word_len: int = 4, max_code_len: int = 5) -> OracleResult:
     """A code-primitive word whose expansion is a proper power carries a single odd letter."""
-    return _code_pair_checks(max_word_len, None, max_code_len)[3]
+    return _code_pair_checks(max_word_len, 1, max_code_len)[3]
 
 
 def _absorbed(w: str, t: str, root: str) -> bool:
     """True iff w lies in t root^*."""
     rest = w[len(t):]
-    return w.startswith(t) and len(rest) % len(root) == 0 and rest == root * (len(rest) // len(root))
+    return w.startswith(t) and rest == root * (len(rest) // len(root))
 
 
 def _absorption_checks(max_word_len: int, max_exp: int) -> list[OracleResult]:

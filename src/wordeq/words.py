@@ -153,8 +153,12 @@ def is_factor_of_power(w: str, p: str) -> bool:
 
 def power_factors(p: str, length: int) -> set[str]:
     """All distinct factors of the given length of the infinite repetition of p."""
+    if length < 0:
+        raise ParameterError("length must be >= 0")
     if length == 0:
         return {""}
+    if not p:
+        return set()  # every power of the empty word is empty
     s = p * (length // len(p) + 2)
     return {s[a:a + length] for a in range(len(p))}
 

@@ -70,7 +70,7 @@ def naive_cross_set(code, max_exp: int):
             if c.letters in members and naive_exponent(c.expansion) > 1]
 
 
-def naive_code_pair_tables(max_word_len: int, max_exp, max_code_len: int):
+def naive_code_pair_tables(max_word_len: int, max_exp: int, max_code_len: int):
     """(code, table, cross-set hit count) for every code pair, each read off its own code.
 
     A stand-in for oracles._code_pair_tables with no symmetry classes and
@@ -82,7 +82,7 @@ def naive_code_pair_tables(max_word_len: int, max_exp, max_code_len: int):
             if x + y == y + x:
                 continue
             code = BinaryCode(x, y)
-            hits = None if max_exp is None else len(naive_cross_set(code, max_exp))
+            hits = len(naive_cross_set(code, max_exp))
             yield code, naive_imprimitive_code_words(code, max_code_len), hits
 
 
@@ -131,8 +131,6 @@ def naive_periodicity_lemma(max_root_len: int) -> OracleResult:
                 if not sharp and short_len >= 1:
                     if power_factors(p, short_len) & power_factors(q, short_len):
                         sharp = True
-            elif p != q and (p.startswith(q) or q.startswith(p)):
-                rec.record(not shared, "prefix-comparable p=%r q=%r share a long factor", p, q)
     rec.record(sharp, "no non-conjugate pair attains a common factor of length |p|+|q|-2")
     return rec.result("periodicity-lemma")
 

@@ -66,6 +66,30 @@ def test_solve_forced_case_exits_zero(capsys):
     assert obj["nonperiodic"] == []
 
 
+def test_solve_text_lists_each_witness(capsys):
+    code, out, _ = run_cli(capsys, "solve", "--i", "1", "--j", "2", "--k", "1", "--max-len", "12")
+    assert code == 2
+    report = enumerate_solutions((1, 2, 1), 2, 12)
+    witnesses = [f"witness: x={w.x!r} y={w.y!r} u={w.u!r} v={w.v!r}" for w in report.nonperiodic]
+    assert len(witnesses) > 1
+    assert out.splitlines() == [
+        "pattern a^1 b^2 a^1, alphabet 2, bound 12",
+        f"total solutions: {report.total_solutions}",
+        f"non-periodic orbits: {len(witnesses)}",
+        *witnesses,
+    ]
+
+
+def test_solve_text_forced_case(capsys):
+    code, out, _ = run_cli(capsys, "solve", "--i", "2", "--j", "4", "--k", "2", "--max-len", "16")
+    assert code == 0
+    assert out.splitlines() == [
+        "pattern a^2 b^4 a^2, alphabet 2, bound 16",
+        "total solutions: 16",
+        "non-periodic solutions: none",
+    ]
+
+
 def test_solve_no_distinct_only(capsys):
     code, out, _ = run_cli(capsys, "solve", "--i", "2", "--j", "4", "--k", "2",
                            "--max-len", "16", "--format", "json", "--shards", "1",
@@ -117,6 +141,32 @@ def test_family_grid(capsys):
     assert obj["pairs"] == 2 and obj["total"] == 4 and obj["all_valid"] is True
 
 
+def test_family_grid_text(capsys):
+    code, out, _ = run_cli(capsys, "family", "--family", "grid", "--max-len", "2",
+                           "--param-k", "2", "--param-j", "5")
+    assert code == 0
+    summary = validate_family_grid(2, 2, 5)
+    assert out.splitlines() == [
+        f"parameter pairs: {summary.pairs}",
+        f"instances checked: {summary.total} "
+        f"({summary.j2_instances} with j=2, {summary.i1k1_instances} with i=k=1)",
+        "all valid and non-periodic",
+    ]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["family", "--family", "j2", "--beta", "b"], "--alpha"),
+    (["family", "--family", "i1k1", "--alpha", "a"], "--gamma"),
+])
+def test_family_missing_word_is_usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 64
+    assert out == ""
+    assert f"error: {flag} is required" in err
+
+
 def test_solve_short_pattern_not_forcing(capsys):
     code, out, _ = run_cli(capsys, "solve", "--i", "1", "--j", "1", "--k", "1",
                            "--max-len", "6", "--format", "json", "--shards", "1")
@@ -144,6 +194,12 @@ def test_lemmas_small(capsys):
     assert len(lines) == 14
 
 
+def test_lemmas_json(capsys):
+    code, out, _ = run_cli(capsys, "lemmas", "--max-len", "3", "--format", "json")
+    assert code == 0
+    assert out == json.dumps([r.to_json_obj() for r in run_lemma_suite(3)], indent=2) + "\n"
+
+
 def test_lemmas_zero_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["lemmas", "--max-len", "0"])
@@ -156,6 +212,8 @@ def test_lemmas_zero_is_usage_error():
     ("family --family j2 --alpha a --beta aa", 65),
     ("family --family j2 --alpha c --beta aa --alphabet 2", 64),
     ("family --family grid --max-len 0 --alphabet 27", 64),
+    ("family --family grid --param-k 501", 64),
+    ("family --family grid --param-j 1002", 64),
     ("verify --i 1 --j 0 --k 1 --alphabet 1 --max-len 1 --shards 0", 64),
     ("solve --i 2 --j 3 --k 1 --alphabet 27 --max-len 18", 64),
     ("lemmas --max-len -3", 64),
@@ -183,6 +241,8 @@ def test_parameter_errors_come_from_the_library():
         lambda: family_j2("a", "b", 0),
         lambda: family_i1k1("a", "b", 4),
         lambda: validate_family_grid(0, 1, 3),
+        lambda: validate_family_grid(1, 501, 3),
+        lambda: validate_family_grid(1, 1, 1002),
         lambda: run_lemma_suite(0),
     ]
     for call in checks:

@@ -76,6 +76,27 @@ def test_suite_shape():
     assert all(r.passed for r in results)
 
 
+def test_default_suite_is_each_check_at_its_defaults():
+    # the default knob derives every check's own default ranges, in suite order
+    checks = [
+        check_periodicity_lemma,
+        check_code_prefix_bound,
+        check_code_suffix_bound,
+        check_overlap_commutation,
+        check_conjugacy_transfer,
+        check_cross_set,
+        check_imprimitive_conjugacy,
+        check_imprimitive_set_shape,
+        check_power_shape,
+        check_prefix_power_absorption,
+        check_short_prefix_absorption,
+        check_straddling_factor_commutation,
+        check_aligned_prefix_difference,
+        check_aligned_suffix_difference,
+    ]
+    assert run_lemma_suite() == [check() for check in checks]
+
+
 def test_suite_case_counts_at_knob_5():
     # the mirrored oracles share their scan with the prefix ones and
     # must still count exactly the cases of their own statement
@@ -290,7 +311,7 @@ def test_suite_case_counts_at_knob_7():
 
 
 @pytest.mark.parametrize("max_word_len, max_exp, max_code_len", [
-    (0, 3, 3), (1, 1, 1), (2, 4, 6), (3, 5, 4), (3, None, 7), (4, 6, 5), (4, 2, 0),
+    (0, 3, 3), (1, 1, 1), (2, 4, 6), (3, 5, 4), (3, 1, 7), (4, 6, 5), (4, 2, 0),
 ])
 def test_code_pair_tables_match_each_codes_own(max_word_len, max_exp, max_code_len):
     # one table and one cross-set count per symmetry class, mapped onto
@@ -300,10 +321,7 @@ def test_code_pair_tables_match_each_codes_own(max_word_len, max_exp, max_code_l
     assert [(code.x, code.y) for code, _, _ in walked] == pairs
     for code, table, hits in walked:
         assert table == imprimitive_code_words(code, max_code_len), code
-        if max_exp is None:
-            assert hits is None
-        else:
-            assert hits == len(naive_cross_set(code, max_exp)), code
+        assert hits == len(naive_cross_set(code, max_exp)), code
 
 
 def _cyclic_factor_test(p):

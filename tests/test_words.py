@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from wordeq.words import (
     ConjugacyDecomposition,
+    ParameterError,
     all_words,
     alphabet,
     are_conjugate,
@@ -214,6 +215,20 @@ def test_is_factor_of_power():
 def test_power_factors_small():
     assert power_factors("ab", 3) == {"aba", "bab"}
     assert power_factors("ab", 0) == {""}
+
+
+def test_power_factors_of_the_empty_word():
+    # its only power is empty, as is_factor_of_power assumes
+    assert power_factors("", 0) == {""}
+    for length in range(1, 4):
+        assert power_factors("", length) == set()
+        assert not is_factor_of_power("a" * length, "")
+
+
+@pytest.mark.parametrize("p", ["", "a", "ab"])
+def test_power_factors_rejects_a_negative_length(p):
+    with pytest.raises(ParameterError, match="length must be >= 0"):
+        power_factors(p, -1)
 
 
 def test_periodicity_lemma_check_examples():
