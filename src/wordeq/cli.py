@@ -149,13 +149,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EX_OK if report.periodic_only else EX_WITNESS
 
 
-def _family_json(family: str, params: dict, inst: EquationInstance) -> str:
-    obj = inst.to_json_obj()
-    obj["family"] = family
-    obj["params"] = params
-    return json.dumps(obj, indent=2) + "\n"
-
-
 def cmd_family(args: argparse.Namespace) -> int:
     if args.family == "grid":
         summary = validate_family_grid(args.max_len, args.param_k, args.param_j, args.alphabet)
@@ -196,7 +189,10 @@ def cmd_family(args: argparse.Namespace) -> int:
         return EX_DATA
 
     if args.format == "json":
-        print(_family_json(args.family, params, inst), end="")
+        obj = inst.to_json_obj()
+        obj["family"] = args.family
+        obj["params"] = params
+        print(json.dumps(obj, indent=2))
     else:
         i, j, k = inst.exps
         print(f"family {args.family}: solution of x^{i} y^{j} x^{k} = u^{i} v^{j} u^{k}")

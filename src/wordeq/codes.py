@@ -8,10 +8,9 @@ represented by their code-letter sequence, a string over "xy".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator
 
-from .words import ParameterError, are_conjugate, commutes, exponent, is_primitive
+from .words import ParameterError, all_words, are_conjugate, commutes, exponent, is_primitive
 
 CODE_LETTERS = "xy"
 
@@ -95,8 +94,11 @@ def count_factorizations(w: str, x: str, y: str) -> int:
     """Number of ways to write w as a product of copies of x and y.
 
     Plain dynamic program, independent of decode; used to certify that
-    non-commuting words admit at most one factorization.
+    non-commuting words admit at most one factorization.  An empty x or
+    y would make the count unbounded, so it raises ParameterError.
     """
+    if not x or not y:
+        raise ParameterError("x and y must be non-empty")
     ways = [0] * (len(w) + 1)
     ways[0] = 1
     for pos in range(1, len(w) + 1):
@@ -109,9 +111,8 @@ def count_factorizations(w: str, x: str, y: str) -> int:
 
 def code_words(code: BinaryCode, max_code_len: int) -> Iterator[CodeWord]:
     """All code words of code length 1..max_code_len, shortest first."""
-    for n in range(1, max_code_len + 1):
-        for tup in product(CODE_LETTERS, repeat=n):
-            yield CodeWord(code, "".join(tup))
+    for w in all_words(max_code_len, CODE_LETTERS):
+        yield CodeWord(code, w)
 
 
 def is_x_primitive(c: CodeWord) -> bool:

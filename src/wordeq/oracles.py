@@ -29,6 +29,7 @@ from .words import (
     all_words,
     alphabet,
     are_conjugate,
+    border_table,
     commutes,
     is_primitive,
     power_factors,
@@ -213,10 +214,14 @@ def check_overlap_commutation(max_word_len: int = 10) -> OracleResult:
     """If s = s1 s2 with s1 a suffix of s and s2 a prefix of s, then s1 and s2 commute."""
     rec = _Recorder()
     for s in all_words(max_word_len, alphabet(2)):
-        for cut in range(len(s) + 1):
-            s1, s2 = s[:cut], s[cut:]
-            if s.endswith(s1) and s.startswith(s2):
-                rec.record(commutes(s1, s2), "s=%r cut=%d", s, cut)
+        # s[:cut] is a suffix iff cut is a border length (0 and |s| included),
+        # s[cut:] a prefix iff |s| - cut is: the chain |s|, table[|s| - 1], ..., 0
+        table, borders = border_table(s), [len(s)]
+        while borders[-1]:
+            borders.append(table[borders[-1] - 1])
+        for cut in reversed(borders):
+            if len(s) - cut in borders:
+                rec.record(commutes(s[:cut], s[cut:]), "s=%r cut=%d", s, cut)
     return rec.result("overlap-commutation")
 
 

@@ -63,11 +63,7 @@ def longest_common_prefix(u: str, v: str) -> str:
 
 def longest_common_suffix(u: str, v: str) -> str:
     """The longest word that is a suffix of both ``u`` and ``v``."""
-    n = min(len(u), len(v))
-    for i in range(1, n + 1):
-        if u[-i] != v[-i]:
-            return u[len(u) - i + 1:]
-    return u[len(u) - n:]
+    return longest_common_prefix(u[::-1], v[::-1])[::-1]
 
 
 def border_table(w: str) -> list[int]:

@@ -7,7 +7,7 @@ fast implementations are checked against independent computations.
 from collections import Counter
 from itertools import permutations, product
 
-from wordeq.codes import BinaryCode, code_words
+from wordeq.codes import BinaryCode
 from wordeq.equations import canonical_instance, is_periodic_solution, iter_solutions
 from wordeq.families import FamilyGridSummary, family_i1k1, family_j2
 from wordeq.oracles import MAX_RECORDED_FAILURES, OracleResult, _Recorder
@@ -51,10 +51,10 @@ def naive_imprimitive_code_words(code, max_code_len: int):
     roots by divisor-prefix repetition.
     """
     found = []
-    for c in code_words(code, max_code_len):
-        e = naive_exponent(c.expansion)
-        if naive_primitive_root(c.letters) == c.letters and e > 1:
-            found.append((c.letters, e))
+    for letters in words_up_to(max_code_len, "xy"):
+        e = naive_exponent(code.expand(letters))
+        if naive_primitive_root(letters) == letters and e > 1:
+            found.append((letters, e))
     return found
 
 
@@ -66,8 +66,8 @@ def naive_cross_set(code, max_exp: int):
     """
     members = {"x" * n + "y" for n in range(1, max_exp + 1)}
     members |= {"x" + "y" * n for n in range(1, max_exp + 1)}
-    return [c.letters for c in code_words(code, max_exp + 1)
-            if c.letters in members and naive_exponent(c.expansion) > 1]
+    return [letters for letters in words_up_to(max_exp + 1, "xy")
+            if letters in members and naive_exponent(code.expand(letters)) > 1]
 
 
 def naive_code_pair_tables(max_word_len: int, max_exp: int, max_code_len: int):
@@ -102,7 +102,8 @@ def naive_code_bounds(max_xy_total: int, max_code_len: int):
             if x + y == y + x:
                 continue
             limit = len(x) + len(y)
-            table = [(c.letters, c.expansion) for c in code_words(BinaryCode(x, y), code_len)]
+            code = BinaryCode(x, y)
+            table = [(s, code.expand(s)) for s in words_up_to(code_len, "xy")]
             table = [(s, e) for s, e in table if len(e) >= limit]
             for side, end, cut in (("prefix", 0, slice(limit)), ("suffix", -1, slice(-limit, None))):
                 ends_x, ends_y = (Counter(e[cut] for s, e in table if s[end] == c) for c in "xy")
@@ -133,6 +134,17 @@ def naive_periodicity_lemma(max_root_len: int) -> OracleResult:
                         sharp = True
     rec.record(sharp, "no non-conjugate pair attains a common factor of length |p|+|q|-2")
     return rec.result("periodicity-lemma")
+
+
+def naive_overlap_commutation(max_word_len: int) -> OracleResult:
+    """The overlap-commutation oracle, trying every cut of every word."""
+    rec = _Recorder()
+    for s in all_words(max_word_len, alphabet(2)):
+        for cut in range(len(s) + 1):
+            s1, s2 = s[:cut], s[cut:]
+            if s.endswith(s1) and s.startswith(s2):
+                rec.record(commutes(s1, s2), "s=%r cut=%d", s, cut)
+    return rec.result("overlap-commutation")
 
 
 def naive_conjugacy_transfer(max_u_len: int, max_z_len: int) -> OracleResult:
@@ -273,10 +285,11 @@ def naive_head_clashes(x: str, y: str, limit: int, code_len: int) -> int:
     directly.
     """
     heads = {"x": [], "y": []}
-    for c in code_words(BinaryCode(x, y), code_len):
-        e = c.expansion
+    code = BinaryCode(x, y)
+    for letters in words_up_to(code_len, "xy"):
+        e = code.expand(letters)
         if len(e) >= limit:
-            heads[c.letters[0]].append(e[:limit])
+            heads[letters[0]].append(e[:limit])
     return sum(s == t for s in heads["x"] for t in heads["y"])
 
 
@@ -287,10 +300,11 @@ def naive_tail_clashes(x: str, y: str, limit: int, code_len: int) -> int:
     most ``code_len`` letters, grouped by their last code letter.
     """
     tails = {"x": [], "y": []}
-    for c in code_words(BinaryCode(x, y), code_len):
-        e = c.expansion
+    code = BinaryCode(x, y)
+    for letters in words_up_to(code_len, "xy"):
+        e = code.expand(letters)
         if len(e) >= limit:
-            tails[c.letters[-1]].append(e[len(e) - limit:])
+            tails[letters[-1]].append(e[len(e) - limit:])
     return sum(s == t for s in tails["x"] for t in tails["y"])
 
 

@@ -196,6 +196,10 @@ def test_classify_x_power():
     lambda: x_primitive_imprimitive_set(BinaryCode("a", "b"), 1),
     lambda: check_imprimitive_set_shape(max_word_len=3, max_code_len=1),
     lambda: classify_x_power(BinaryCode("aba", "baab").word("xxy"), 1),
+    # an empty code word fits anywhere, so the factorization count is unbounded
+    lambda: count_factorizations("aa", "a", ""),
+    lambda: count_factorizations("a", "", "a"),
+    lambda: count_factorizations("", "", ""),
 ])
 def test_parameter_range_errors_are_parameter_errors(call):
     with pytest.raises(ParameterError):
@@ -212,6 +216,11 @@ def test_code_words_enumeration():
     code = BinaryCode("a", "b")
     got = [c.letters for c in code_words(code, 2)]
     assert got == ["x", "y", "xx", "xy", "yx", "yy"]
+    for max_code_len in range(0, 7):
+        want = ["".join(t) for n in range(1, max_code_len + 1) for t in product("xy", repeat=n)]
+        got = list(code_words(code, max_code_len))
+        assert [c.letters for c in got] == want
+        assert all(c.code is code for c in got)
 
 
 def test_expansion_table_matches_code_words():

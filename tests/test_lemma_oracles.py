@@ -5,6 +5,7 @@ from wordeq.codes import BinaryCode, ImprimitiveSet, PowerShape, imprimitive_cod
 from wordeq.words import (
     ConjugacyDecomposition,
     ParameterError,
+    border_table,
     exponent,
     power_factors,
     transfer_decomposition,
@@ -35,6 +36,7 @@ from support import (
     naive_cross_set,
     naive_factor_pair_checks,
     naive_head_clashes,
+    naive_overlap_commutation,
     naive_periodicity_lemma,
     naive_tail_clashes,
 )
@@ -271,6 +273,38 @@ def test_conjugacy_transfer_walk_checks_each_case(monkeypatch, wrong):
     monkeypatch.setattr(oracles, "transfer_decomposition", wrong)
     monkeypatch.setattr(support, "transfer_decomposition", wrong)
     _assert_same_verdicts([check_conjugacy_transfer(5, 8)], [naive_conjugacy_transfer(5, 8)])
+
+
+@pytest.mark.parametrize("max_word_len", range(0, 13))
+def test_overlap_commutation_matches_the_cut_scan(max_word_len):
+    assert check_overlap_commutation(max_word_len) == naive_overlap_commutation(max_word_len)
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda x, y: len(x) % 2 == 0,
+    lambda x, y: x.count("a") <= y.count("a"),
+    lambda x, y: len(x) != len(y),
+])
+def test_overlap_commutation_checks_each_cut(monkeypatch, wrong):
+    monkeypatch.setattr(oracles, "MAX_RECORDED_FAILURES", 10 ** 9)
+    monkeypatch.setattr(oracles, "commutes", wrong)
+    monkeypatch.setattr(support, "commutes", wrong)
+    got, want = check_overlap_commutation(8), naive_overlap_commutation(8)
+    _assert_same_verdicts([got], [want])
+    assert got.failures == want.failures  # cuts in ascending order, as the scan visits them
+
+
+def _drop_last_chain_step(w):
+    # the shortest non-empty border of every prefix is read as none
+    table = border_table(w)
+    return [t if t and table[t - 1] else 0 for t in table]
+
+
+@pytest.mark.parametrize("wrong", [_drop_last_chain_step, lambda w: [0] * len(w)])
+def test_overlap_cases_come_from_the_whole_border_chain(monkeypatch, wrong):
+    honest = check_overlap_commutation(8)
+    monkeypatch.setattr(oracles, "border_table", wrong)
+    assert check_overlap_commutation(8).cases < honest.cases
 
 
 @pytest.mark.parametrize("wrong", [

@@ -67,12 +67,15 @@ def test_longest_common_suffix(u, v, expected):
 
 
 def test_suffix_is_reversed_prefix():
-    for u in all_words(5, "ab"):
-        for v in all_words(5, "ab"):
-            assert (
-                longest_common_suffix(u, v)
-                == longest_common_prefix(u[::-1], v[::-1])[::-1]
-            )
+    # both against their definitions: the longest shared end, empty word included
+    words = list(all_words(5, "ab", min_len=0))
+    for u in words:
+        for v in words:
+            n = min(len(u), len(v))
+            prefix = max((u[:m] for m in range(n + 1) if u[:m] == v[:m]), key=len)
+            suffix = max((u[len(u) - m:] for m in range(n + 1) if u[len(u) - m:] == v[len(v) - m:]), key=len)
+            assert longest_common_prefix(u, v) == prefix
+            assert longest_common_suffix(u, v) == suffix
 
 
 @pytest.mark.parametrize(
