@@ -1,8 +1,8 @@
 """Combinatorics on finite words and bounded word-equation verification.
 
 The library has four layers: exact word primitives (periods, primitive
-roots, conjugacy), binary-code machinery (unique decoding, code-letter
-primitivity), an exhaustive bounded solver for x^i y^j x^k = u^i v^j u^k
+roots, conjugacy), binary-code machinery (unique decoding, imprimitive
+expansions), an exhaustive bounded solver for x^i y^j x^k = u^i v^j u^k
 with a periodicity-forcing verdict, and closed-form non-periodic
 solution families at the boundary exponents.  A small CLI exposes all
 of it; see the README.
@@ -33,13 +33,11 @@ from .codes import (
     CodeWord,
     ImprimitiveSet,
     PowerShape,
-    are_x_conjugate,
     classify_x_power,
     code_words,
     count_factorizations,
     decode,
     imprimitive_in_cross_set,
-    is_x_primitive,
     x_primitive_imprimitive_set,
 )
 from .equations import (

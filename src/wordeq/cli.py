@@ -17,7 +17,6 @@ import sys
 from typing import Sequence
 
 from .equations import (
-    EquationInstance,
     Exponents,
     SolutionReport,
     _validate_search_args,
@@ -102,11 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_witnesses(insts: Sequence[EquationInstance]) -> None:
-    for inst in insts:
-        print(f"witness: x={inst.x!r} y={inst.y!r} u={inst.u!r} v={inst.v!r}")
-
-
 def _report_text(report: SolutionReport) -> None:
     i, j, k = report.exps
     print(f"pattern a^{i} b^{j} a^{k}, alphabet {report.alphabet_size}, bound {report.bound}")
@@ -115,7 +109,8 @@ def _report_text(report: SolutionReport) -> None:
         print("non-periodic solutions: none")
     else:
         print(f"non-periodic orbits: {len(report.nonperiodic)}")
-        _print_witnesses(report.nonperiodic)
+        for inst in report.nonperiodic:
+            print(f"witness: x={inst.x!r} y={inst.y!r} u={inst.u!r} v={inst.v!r}")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

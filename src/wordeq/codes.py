@@ -1,4 +1,4 @@
-"""Binary codes {x, y}: decoding, code-letter primitivity, imprimitive expansions.
+"""Binary codes {x, y}: decoding and imprimitive expansions.
 
 Two non-commuting words form a code, so every product of x's and y's
 has a unique factorization.  Words of the free monoid over the code are
@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .words import ParameterError, all_words, are_conjugate, commutes, exponent, is_primitive
+from .words import ParameterError, all_words, commutes, exponent, is_primitive
 
 CODE_LETTERS = "xy"
 
@@ -36,9 +36,6 @@ class BinaryCode:
         """Substitute x and y into a code-letter sequence."""
         return "".join(self.x if c == "x" else self.y for c in letters)
 
-    def word(self, letters: str) -> "CodeWord":
-        return CodeWord(self, letters)
-
 
 @dataclass(frozen=True)
 class CodeWord:
@@ -54,9 +51,6 @@ class CodeWord:
     @property
     def expansion(self) -> str:
         return self.code.expand(self.letters)
-
-    def code_length(self) -> int:
-        return len(self.letters)
 
 
 def decode(w: str, code: BinaryCode) -> CodeWord | None:
@@ -113,18 +107,6 @@ def code_words(code: BinaryCode, max_code_len: int) -> Iterator[CodeWord]:
     """All code words of code length 1..max_code_len, shortest first."""
     for w in all_words(max_code_len, CODE_LETTERS):
         yield CodeWord(code, w)
-
-
-def is_x_primitive(c: CodeWord) -> bool:
-    """Primitivity measured in code letters: c is not a proper power inside {x, y}*."""
-    if not c.letters:
-        raise ValueError("empty code word")
-    return is_primitive(c.letters)
-
-
-def are_x_conjugate(c1: CodeWord, c2: CodeWord) -> bool:
-    """Conjugacy via factors from {x, y}*, i.e. rotation of code-letter sequences."""
-    return are_conjugate(c1.letters, c2.letters)
 
 
 def imprimitive_in_cross_set(code: BinaryCode, max_exp: int) -> list[CodeWord]:
@@ -276,10 +258,8 @@ def classify_x_power(c: CodeWord, i: int) -> PowerShape:
         raise ValueError("not an imprimitive X-primitive word")
     if exponent(c.expansion) % i != 0:
         raise ValueError("not an imprimitive X-primitive word")
-    if c.letters.count("y") == 1:
-        k = c.letters.index("y")
-        return PowerShape("x", k, len(c.letters) - k - 1)
-    if c.letters.count("x") == 1:
-        k = c.letters.index("x")
-        return PowerShape("y", k, len(c.letters) - k - 1)
+    for single, repeated in (("y", "x"), ("x", "y")):
+        if c.letters.count(single) == 1:
+            k = c.letters.index(single)
+            return PowerShape(repeated, k, len(c.letters) - k - 1)
     raise RuntimeError(f"power-shape violation: {c.letters}")

@@ -41,7 +41,7 @@ from itertools import combinations, combinations_with_replacement, product
 from math import gcd
 from typing import Iterator, NamedTuple
 
-from .words import ParameterError, alphabet, commutes
+from .words import LETTERS, ParameterError, alphabet, commutes
 
 
 class Exponents(NamedTuple):
@@ -245,14 +245,14 @@ def iter_solutions(
             yield EquationInstance(exps, x, y, u, v)
 
 
-def _named(words: tuple[str, ...], letters: str) -> tuple[str, ...]:
+def _named(words: tuple[str, ...]) -> tuple[str, ...]:
     """``words`` with their letters renamed a, b, c, ... in order of first occurrence."""
     seen = "".join(dict.fromkeys("".join(words)))
-    table = str.maketrans(seen, letters[:len(seen)])
+    table = str.maketrans(seen, LETTERS[:len(seen)])
     return tuple(w.translate(table) for w in words)
 
 
-def _least_image(exps: Exponents, words: tuple[str, ...], letters: str) -> tuple[str, ...]:
+def _least_image(exps: Exponents, words: tuple[str, ...]) -> tuple[str, ...]:
     """The least member of the symmetry orbit of ``words``, already named.
 
     ``words`` must be named by first occurrence, which makes it the
@@ -263,7 +263,7 @@ def _least_image(exps: Exponents, words: tuple[str, ...], letters: str) -> tuple
     i, _, k = exps
     swap = words[2:] + words[:2]
     mirrors = [tuple(w[::-1] for w in t) for t in (words, swap)] if i == k else []
-    return min(words, *(_named(t, letters) for t in [swap, *mirrors]))
+    return min(words, *(_named(t) for t in [swap, *mirrors]))
 
 
 def canonical_instance(inst: EquationInstance, alphabet_size: int) -> EquationInstance:
@@ -278,12 +278,11 @@ def canonical_instance(inst: EquationInstance, alphabet_size: int) -> EquationIn
     names its letters a, b, c, ... in order of first occurrence; the
     cost does not depend on the alphabet.
     """
-    letters = alphabet(alphabet_size)
+    alphabet(alphabet_size)  # raises ParameterError on a bad size
     used = len(set("".join(inst.words())))
     if used > alphabet_size:
         raise ValueError(f"{used} distinct letters exceed the alphabet of {alphabet_size}")
-    named = _named(inst.words(), letters)
-    return EquationInstance(inst.exps, *_least_image(inst.exps, named, letters))
+    return EquationInstance(inst.exps, *_least_image(inst.exps, _named(inst.words())))
 
 
 @dataclass(frozen=True)
@@ -398,7 +397,7 @@ def enumerate_solutions(
                     if growth == growth[:g] * count:
                         continue  # the letter depends on the residue alone: periodic
                     s = "".join([letters[growth[t]] for t in scaled])
-                    reps.add(_least_image(exps, (s[:a], s[a:b], s[b:c], s[c:]), letters))
+                    reps.add(_least_image(exps, (s[:a], s[a:b], s[b:c], s[c:])))
     nonperiodic = tuple(EquationInstance(exps, *words) for words in sorted(reps))
     return SolutionReport(exps, alphabet_size, max_total_len, total, nonperiodic,
                           distinct_only, allow_empty)

@@ -9,9 +9,16 @@ parameter words and always produce a valid non-periodic solution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import log10
 
 from .equations import EquationInstance, Exponents, check, is_periodic_solution
 from .words import ParameterError, alphabet, commutes
+
+
+# CPython's default limit on the digits of an int converted to str; a
+# grid whose counts need more could not be printed.
+_MAX_DIGITS = 4300
+_TOO_LARGE = 10**_MAX_DIGITS
 
 
 class CommutingParametersError(ValueError):
@@ -112,13 +119,19 @@ def validate_family_grid(
     words of length d, the commuting pairs number
     sum_{d <= L} psi(d) * (L // d)^2, and the grid has W^2 minus that.
     psi comes from a sieve over multiples (a^d minus psi of each proper
-    divisor), O(L log L) integer operations.
+    divisor), O(L log L) integer operations.  Counts of more than 4300
+    digits raise ParameterError.  Each word commutes with at most L
+    words, so the grid has at least W (W - L) >= a^L pairs, and a long
+    max_param_len is refused before any count is built.
     """
     if max_param_len < 1 or max_k < 1 or max_j < 1:
         raise ParameterError("grid bounds must be >= 1")
     if max_k > 500 or max_j > 1001:
         raise ParameterError("grid needs max_k <= 500 and max_j <= 1001: its cost is cubic in both")
     a, n = len(alphabet(alphabet_size)), max_param_len
+    too_long = f"grid counts must have at most {_MAX_DIGITS} digits"
+    if n * log10(a) > _MAX_DIGITS:
+        raise ParameterError(too_long)
     odd_js = range(3, max_j + 1, 2)
     for k in range(1, max_k + 1):
         family_j2("a", "b", k)
@@ -130,4 +143,7 @@ def validate_family_grid(
             psi[m] -= psi[d]
     words = sum(a**d for d in range(1, n + 1))
     pairs = words**2 - sum(psi[d] * (n // d) ** 2 for d in range(1, n + 1))
-    return FamilyGridSummary(pairs, pairs * max_k, pairs * len(odd_js))
+    summary = FamilyGridSummary(pairs, pairs * max_k, pairs * len(odd_js))
+    if summary.total >= _TOO_LARGE:
+        raise ParameterError(too_long)
+    return summary

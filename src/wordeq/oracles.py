@@ -402,9 +402,9 @@ def check_power_shape(max_word_len: int = 4, max_code_len: int = 5) -> OracleRes
 
 
 def _absorbed(w: str, t: str, root: str) -> bool:
-    """True iff w lies in t root^*."""
+    """True iff w lies in t root^*, given that w starts with t."""
     rest = w[len(t):]
-    return w.startswith(t) and rest == root * (len(rest) // len(root))
+    return rest == root * (len(rest) // len(root))
 
 
 def _absorption_checks(max_word_len: int, max_exp: int) -> list[OracleResult]:

@@ -142,8 +142,6 @@ def is_factor_of_power(w: str, p: str) -> bool:
     """
     if not p:
         return w == ""
-    if not w:
-        return True
     return w in p * (len(w) // len(p) + 2)
 
 

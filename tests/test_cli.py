@@ -154,6 +154,17 @@ def test_family_grid_text(capsys):
     ]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_family_grid_prints_counts_up_to_4300_digits(capsys, fmt):
+    # the longest grid at alphabet 26 that prints; --max-len 1520 exits 64
+    code, out, _ = run_cli(capsys, "family", "--family", "grid", "--max-len", "1519",
+                           "--alphabet", "26", "--format", fmt)
+    assert code == 0
+    total = validate_family_grid(1519, 1, 3, 26).total
+    assert len(str(total)) == 4300
+    assert str(total) in out
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["family", "--family", "j2", "--beta", "b"], "--alpha"),
     (["family", "--family", "i1k1", "--alpha", "a"], "--gamma"),
@@ -214,6 +225,9 @@ def test_lemmas_zero_is_usage_error():
     ("family --family grid --max-len 0 --alphabet 27", 64),
     ("family --family grid --param-k 501", 64),
     ("family --family grid --param-j 1002", 64),
+    ("family --family grid --max-len 1520 --alphabet 26", 64),
+    ("family --family grid --max-len 1520 --alphabet 26 --format json", 64),
+    ("family --family grid --max-len 1000000000 --format json", 64),
     ("verify --i 1 --j 0 --k 1 --alphabet 1 --max-len 1 --shards 0", 64),
     ("solve --i 2 --j 3 --k 1 --alphabet 27 --max-len 18", 64),
     ("lemmas --max-len -3", 64),
@@ -243,6 +257,8 @@ def test_parameter_errors_come_from_the_library():
         lambda: validate_family_grid(0, 1, 3),
         lambda: validate_family_grid(1, 501, 3),
         lambda: validate_family_grid(1, 1, 1002),
+        lambda: validate_family_grid(1520, 1, 3, 26),
+        lambda: validate_family_grid(10**9, 1, 3),
         lambda: run_lemma_suite(0),
     ]
     for call in checks:

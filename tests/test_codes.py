@@ -6,14 +6,12 @@ from wordeq.codes import (
     BinaryCode,
     CodeWord,
     PowerShape,
-    are_x_conjugate,
     classify_x_power,
     code_words,
     count_factorizations,
     decode,
     imprimitive_code_words,
     imprimitive_in_cross_set,
-    is_x_primitive,
     lyndon_words,
     x_primitive_imprimitive_set,
 )
@@ -34,9 +32,9 @@ def test_binary_code_rejects_commuting_or_empty():
 
 def test_code_word_expansion():
     code = BinaryCode("ab", "a")
-    w = code.word("xyx")
+    w = CodeWord(code, "xyx")
     assert w.expansion == "abaab"
-    assert w.code_length() == 3
+    assert len(w.letters) == 3
     with pytest.raises(ValueError):
         CodeWord(code, "xz")
 
@@ -107,22 +105,6 @@ def test_unique_decoding_all_small_codes():
                 assert got is not None and got.expansion == w
 
 
-def test_is_x_primitive():
-    code = BinaryCode("aba", "baab")
-    assert is_x_primitive(code.word("xyx"))
-    assert not is_x_primitive(code.word("xyxy"))
-    assert not is_x_primitive(code.word("xxyxxyxxy"))
-    with pytest.raises(ValueError):
-        is_x_primitive(code.word(""))
-
-
-def test_are_x_conjugate():
-    code = BinaryCode("ab", "a")
-    assert are_x_conjugate(code.word("xy"), code.word("yx"))
-    assert are_x_conjugate(code.word("xxy"), code.word("xyx"))
-    assert not are_x_conjugate(code.word("xxy"), code.word("yyx"))
-
-
 def test_cross_set_examples():
     hits = imprimitive_in_cross_set(BinaryCode("aba", "baab"), 6)
     assert [c.letters for c in hits] == ["xxy"]
@@ -181,21 +163,23 @@ def test_imprimitive_set_y_centered_exists():
 
 def test_classify_x_power():
     code = BinaryCode("aba", "baab")
-    assert classify_x_power(code.word("xxy"), 2) == PowerShape("x", 2, 0)
-    assert classify_x_power(code.word("xyx"), 2) == PowerShape("x", 1, 1)
+    assert classify_x_power(CodeWord(code, "xxy"), 2) == PowerShape("x", 2, 0)
+    assert classify_x_power(CodeWord(code, "xyx"), 2) == PowerShape("x", 1, 1)
+    mirror = BinaryCode("baab", "aba")
+    assert classify_x_power(CodeWord(mirror, "yyx"), 2) == PowerShape("y", 2, 0)
     with pytest.raises(ValueError):
-        classify_x_power(code.word("xyxy"), 2)
+        classify_x_power(CodeWord(code, "xyxy"), 2)
     with pytest.raises(ValueError):
-        classify_x_power(code.word("xy"), 2)  # expansion "ababaab" is primitive
+        classify_x_power(CodeWord(code, "xy"), 2)  # expansion "ababaab" is primitive
     with pytest.raises(ValueError):
-        classify_x_power(code.word("xxy"), 1)
+        classify_x_power(CodeWord(code, "xxy"), 1)
 
 
 @pytest.mark.parametrize("call", [
     lambda: imprimitive_in_cross_set(BinaryCode("a", "b"), 0),
     lambda: x_primitive_imprimitive_set(BinaryCode("a", "b"), 1),
     lambda: check_imprimitive_set_shape(max_word_len=3, max_code_len=1),
-    lambda: classify_x_power(BinaryCode("aba", "baab").word("xxy"), 1),
+    lambda: classify_x_power(CodeWord(BinaryCode("aba", "baab"), "xxy"), 1),
     # an empty code word fits anywhere, so the factorization count is unbounded
     lambda: count_factorizations("aa", "a", ""),
     lambda: count_factorizations("a", "", "a"),
@@ -209,7 +193,7 @@ def test_parameter_range_errors_are_parameter_errors(call):
 def test_classify_single_letter_powers():
     # an imprimitive code word itself: x = aa is a square
     code = BinaryCode("aa", "ab")
-    assert classify_x_power(code.word("x"), 2) == PowerShape("y", 0, 0)
+    assert classify_x_power(CodeWord(code, "x"), 2) == PowerShape("y", 0, 0)
 
 
 def test_code_words_enumeration():

@@ -257,6 +257,24 @@ def test_absorption_pass_checks_each_statement(monkeypatch, wrong):
     _assert_same_verdicts(oracles._absorption_checks(4, 3), naive_absorption_checks(4, 3))
 
 
+@pytest.mark.parametrize("max_len", range(0, 6))
+def test_absorbed_words_start_with_their_front(monkeypatch, max_len):
+    # _absorbed does not test w.startswith(t): every case passes a prefix
+    # of t v^i that is at least |t| long
+    absorbed = oracles._absorbed
+    calls = 0
+
+    def spy(w, t, root):
+        nonlocal calls
+        calls += 1
+        assert w.startswith(t), (w, t)
+        return absorbed(w, t, root)
+
+    monkeypatch.setattr(oracles, "_absorbed", spy)
+    results = oracles._absorption_checks(max_len, 3)
+    assert calls == sum(r.cases for r in results)
+
+
 def _swap_seed_on_odd_z(u, z, v):
     d = transfer_decomposition(u, z, v)
     return ConjugacyDecomposition(d.tau, d.sigma, d.ell, d.m) if len(z) % 2 else d
