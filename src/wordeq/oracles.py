@@ -29,16 +29,17 @@ from .words import (
     all_words,
     alphabet,
     are_conjugate,
-    border_table,
     commutes,
     is_primitive,
     power_factors,
     primitive_root,
     transfer_decomposition,
+    words_of_length,
 )
 
 MAX_RECORDED_FAILURES = 3
 
+_XY_TO_AB = str.maketrans("xy", "ab")
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -103,24 +104,36 @@ def check_periodicity_lemma(max_root_len: int = 5) -> OracleResult:
     pair shares a factor of length |p|+|q|-2.  The first pair with
     |p|+|q|-2 >= 1 has roots of length 2, so shorter roots cannot witness
     sharpness and are refused.
+
+    Every rotation of p has the factor sets of p, and two primitive words
+    are conjugate iff they lie in one necklace.  So the walk takes one
+    Lyndon word per necklace, compares each unordered pair of distinct
+    necklaces once and counts its |p|*|q| ordered member pairs both ways.
+    A failing necklace pair is expanded into its member pairs, sorted by
+    (|p|, p, |q|, q), the order of a walk over every pair of words.
     """
     if max_root_len < 2:
         raise ParameterError("max_root_len must be >= 2")
     rec = _Recorder()
     sharp = False
-    prims = [w for w in all_words(max_root_len, alphabet(2)) if is_primitive(w)]
+    roots = [w.translate(_XY_TO_AB) for w in lyndon_words(max_root_len)]
     # factors[p][n] is power_factors(p, n) for every length n a pair with p reads
-    factors = {p: [power_factors(p, n) for n in range(len(p) + max_root_len)] for p in prims}
-    for p in prims:
-        for q in prims:
+    factors = {p: [power_factors(p, n) for n in range(len(p) + max_root_len)] for p in roots}
+    failed = []
+    for a, p in enumerate(roots):
+        for q in roots[a + 1:]:
+            rec.cases += 2 * len(p) * len(q)
             long_len = len(p) + len(q) - 1
-            shared = factors[p][long_len] & factors[q][long_len]
-            if not are_conjugate(p, q):
-                rec.record(not shared, "non-conjugate p=%r q=%r share a long factor", p, q)
-                short_len = long_len - 1
-                if not sharp and short_len >= 1:
-                    if factors[p][short_len] & factors[q][short_len]:
-                        sharp = True
+            if factors[p][long_len] & factors[q][long_len]:
+                failed += [(p, q), (q, p)]
+            short_len = long_len - 1
+            if not sharp and short_len >= 1:
+                if factors[p][short_len] & factors[q][short_len]:
+                    sharp = True
+    members = sorted((len(p), p[i:] + p[:i], len(q), q[j:] + q[:j])
+                     for p, q in failed for i in range(len(p)) for j in range(len(q)))
+    for _, p, _, q in members:
+        rec.tally(1, "non-conjugate p=%r q=%r share a long factor", p, q)
     rec.record(sharp, "no non-conjugate pair attains a common factor of length |p|+|q|-2")
     return rec.result("periodicity-lemma")
 
@@ -211,17 +224,33 @@ def check_code_suffix_bound(max_xy_total: int = 8, max_code_len: int = 4) -> Ora
 
 
 def check_overlap_commutation(max_word_len: int = 10) -> OracleResult:
-    """If s = s1 s2 with s1 a suffix of s and s2 a prefix of s, then s1 and s2 commute."""
+    """If s = s1 s2 with s1 a suffix of s and s2 a prefix of s, then s1 and s2 commute.
+
+    A cut c qualifies iff s has the periods c and |s| - c.  The cuts 0
+    and |s| qualify on every word and pair it with the empty word, so
+    they are counted in closed form, 2 per non-empty word.  A proper cut
+    with q = min(c, |s| - c) makes s the |s|-letter prefix of w w w ...
+    for w = s[:q], ending in w.  So the walk takes n, then q <= n/2, then
+    the 2**q words w, and meets each proper cut exactly once.  The
+    failures are sorted by (|s|, s, cut), the order of a walk over every
+    word and cut.
+    """
     rec = _Recorder()
-    for s in all_words(max_word_len, alphabet(2)):
-        # s[:cut] is a suffix iff cut is a border length (0 and |s| included),
-        # s[cut:] a prefix iff |s| - cut is: the chain |s|, table[|s| - 1], ..., 0
-        table, borders = border_table(s), [len(s)]
-        while borders[-1]:
-            borders.append(table[borders[-1] - 1])
-        for cut in reversed(borders):
-            if len(s) - cut in borders:
-                rec.record(commutes(s[:cut], s[cut:]), "s=%r cut=%d", s, cut)
+    if max_word_len >= 1:
+        rec.cases = 2 * ((2 << max_word_len) - 2)
+    failed = []
+    for n in range(2, max_word_len + 1):
+        for q in range(1, n // 2 + 1):
+            cuts = (q,) if 2 * q == n else (q, n - q)
+            for w in words_of_length(q, alphabet(2)):
+                s = (w * (n // q + 1))[:n]
+                if s.endswith(w):
+                    for cut in cuts:
+                        rec.cases += 1
+                        if not commutes(s[:cut], s[cut:]):
+                            failed.append((n, s, cut))
+    for _, s, cut in sorted(failed):
+        rec.tally(1, "s=%r cut=%d", s, cut)
     return rec.result("overlap-commutation")
 
 
@@ -408,32 +437,54 @@ def _absorbed(w: str, t: str, root: str) -> bool:
 
 
 def _absorption_checks(max_word_len: int, max_exp: int) -> list[OracleResult]:
-    """The two absorption oracles in one scan over the occurrences of v in t v^i.
+    """The two absorption oracles in one scan over the occurrences of v in t v^E.
 
     Fronts t run over every word up to ``max_word_len``, the empty word
     included.  An occurrence at or after |t| is a short-prefix case; when
     t is a suffix of v every occurrence is also a prefix-power case with
-    z = t, and each suffix of v is exactly one such t.
+    z = t, and each suffix of v is exactly one such t.  Each t v^i is a
+    prefix of t v^E, E = ``max_exp``, and a check reads only the letters
+    up to the end of its occurrence.  So one scan of t v^E checks each
+    occurrence once, and an occurrence at pos counts once for every i
+    from the first whose t v^i holds it up to E.  Failures are re-emitted
+    once per such i, in the (i, pos) order of a scan per exponent.
     """
     prefix_power, short_prefix = _Recorder(), _Recorder()
     letters = alphabet(2)
-    for v in all_words(max_word_len, letters):
-        pv = primitive_root(v)
+    # with no exponent t v^E is t alone and holds no case
+    for v in all_words(max_word_len if max_exp >= 1 else 0, letters):
+        pv, lv = primitive_root(v), len(v)
         for t in all_words(max_word_len, letters, min_len=0):
-            suffix = v.endswith(t)
-            for i in range(1, max_exp + 1):
-                base = t + v * i
-                pos = base.find(v, 0 if suffix else len(t))
-                while pos >= 0:
-                    if suffix:
-                        prefix_power.record(_absorbed(base[:pos + len(v)], t, pv),
-                                            "v=%r z=%r i=%d |u|=%d", v, t, i, pos)
-                    if pos >= len(t):
-                        short_prefix.record(_absorbed(base[:pos], t, pv),
-                                            "v=%r t=%r i=%d |w|=%d", v, t, i, pos)
-                    pos = base.find(v, pos + 1)
+            suffix, lt = v.endswith(t), len(t)
+            base = t + v * max_exp
+            prefix_failed, short_failed = [], []
+            pos = base.find(v, 0 if suffix else lt)
+            while pos >= 0:
+                first = max(1, -((lt - pos - lv) // lv))  # ceil((pos + |v| - |t|) / |v|)
+                counted = max_exp - first + 1
+                if suffix:
+                    prefix_power.cases += counted
+                    if not _absorbed(base[:pos + lv], t, pv):
+                        prefix_failed.append((first, pos))
+                if pos >= lt:
+                    short_prefix.cases += counted
+                    if not _absorbed(base[:pos], t, pv):
+                        short_failed.append((first, pos))
+                pos = base.find(v, pos + 1)
+            _tally_per_exponent(prefix_power, prefix_failed, max_exp, "v=%r z=%r i=%d |u|=%d", v, t)
+            _tally_per_exponent(short_prefix, short_failed, max_exp, "v=%r t=%r i=%d |w|=%d", v, t)
     return [prefix_power.result("prefix-power-absorption"),
             short_prefix.result("short-prefix-absorption")]
+
+
+def _tally_per_exponent(rec: _Recorder, failed: list[tuple[int, int]], max_exp: int,
+                        fmt: str, v: str, t: str) -> None:
+    """Keep each failing (first, pos) once for every exponent first..max_exp, by exponent then pos."""
+    if failed:
+        for i in range(failed[0][0], max_exp + 1):
+            for first, pos in failed:
+                if first <= i:
+                    rec.tally(1, fmt, v, t, i, pos)
 
 
 def check_prefix_power_absorption(max_word_len: int = 4, max_exp: int = 3) -> OracleResult:

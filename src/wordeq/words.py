@@ -108,8 +108,14 @@ def primitive_root(w: str) -> str:
 
 
 def exponent(w: str) -> int:
-    """The e with w == primitive_root(w) ** e."""
-    return len(w) // len(primitive_root(w))
+    """The e with w == primitive_root(w) ** e.
+
+    The root length is the first p >= 1 at which w occurs in w w, as in
+    ``primitive_root``, read without slicing the root off.
+    """
+    if not w:
+        raise ValueError("empty word has no primitive root")
+    return len(w) // (w + w).find(w, 1)
 
 
 def is_primitive(w: str) -> bool:

@@ -5,7 +5,7 @@ from wordeq.codes import BinaryCode, ImprimitiveSet, PowerShape, imprimitive_cod
 from wordeq.words import (
     ConjugacyDecomposition,
     ParameterError,
-    border_table,
+    commutes,
     exponent,
     power_factors,
     transfer_decomposition,
@@ -259,8 +259,9 @@ def test_absorption_pass_checks_each_statement(monkeypatch, wrong):
 
 @pytest.mark.parametrize("max_len", range(0, 6))
 def test_absorbed_words_start_with_their_front(monkeypatch, max_len):
-    # _absorbed does not test w.startswith(t): every case passes a prefix
-    # of t v^i that is at least |t| long
+    # _absorbed does not test w.startswith(t): every call passes a prefix
+    # of t v^3 that is at least |t| long, once per occurrence of v that
+    # each statement reads
     absorbed = oracles._absorbed
     calls = 0
 
@@ -271,8 +272,32 @@ def test_absorbed_words_start_with_their_front(monkeypatch, max_len):
         return absorbed(w, t, root)
 
     monkeypatch.setattr(oracles, "_absorbed", spy)
-    results = oracles._absorption_checks(max_len, 3)
-    assert calls == sum(r.cases for r in results)
+    oracles._absorption_checks(max_len, 3)
+    occurrences = 0
+    for v in support.words_up_to(max_len):
+        for t in support.words_up_to(max_len, min_len=0):
+            base = t + v * 3
+            starts = [a for a in range(len(base)) if base[a:a + len(v)] == v]
+            occurrences += len(starts) if v.endswith(t) else 0
+            occurrences += sum(a >= len(t) for a in starts)
+    assert calls == occurrences
+
+
+@pytest.mark.parametrize("max_exp", range(1, 6))
+def test_absorption_pass_counts_each_exponent(monkeypatch, max_exp):
+    # one scan of t v^E stands for every t v^i: a wrong root must fail
+    # the same cases as a scan per exponent, and the short-prefix side,
+    # whose reference walks the fronts in the same order, in that order;
+    # at i = 1 the only short-prefix case is w = t, which nothing fails
+    monkeypatch.setattr(oracles, "MAX_RECORDED_FAILURES", 10 ** 9)
+    monkeypatch.setattr(oracles, "primitive_root", lambda w: w[:1])
+    monkeypatch.setattr(support, "primitive_root", lambda w: w[:1])
+    got, want = oracles._absorption_checks(3, max_exp), naive_absorption_checks(3, max_exp)
+    for g, w in zip(got, want, strict=True):
+        assert (g.name, g.cases, sorted(g.failures)) == (w.name, w.cases, sorted(w.failures))
+    assert got[1] == want[1]
+    assert 0 < len(got[0].failures) < got[0].cases
+    assert len(got[1].failures) < got[1].cases and (max_exp == 1) == (not got[1].failures)
 
 
 def _swap_seed_on_odd_z(u, z, v):
@@ -298,10 +323,12 @@ def test_overlap_commutation_matches_the_cut_scan(max_word_len):
     assert check_overlap_commutation(max_word_len) == naive_overlap_commutation(max_word_len)
 
 
+# the cuts 0 and |s| are counted in closed form, so each wrong test
+# keeps the empty word commuting with everything
 @pytest.mark.parametrize("wrong", [
-    lambda x, y: len(x) % 2 == 0,
-    lambda x, y: x.count("a") <= y.count("a"),
-    lambda x, y: len(x) != len(y),
+    lambda x, y: not x or not y or len(x) % 2 == 0,
+    lambda x, y: not x or not y or x.count("a") <= y.count("a"),
+    lambda x, y: not x or not y or len(x) != len(y),
 ])
 def test_overlap_commutation_checks_each_cut(monkeypatch, wrong):
     monkeypatch.setattr(oracles, "MAX_RECORDED_FAILURES", 10 ** 9)
@@ -312,28 +339,34 @@ def test_overlap_commutation_checks_each_cut(monkeypatch, wrong):
     assert got.failures == want.failures  # cuts in ascending order, as the scan visits them
 
 
-def _drop_last_chain_step(w):
-    # the shortest non-empty border of every prefix is read as none
-    table = border_table(w)
-    return [t if t and table[t - 1] else 0 for t in table]
+def test_overlap_walk_meets_each_proper_cut_once(monkeypatch):
+    # the period walk must call commutes on exactly the proper cuts the
+    # full scan finds, each once
+    seen = []
 
+    def spy(s1, s2):
+        seen.append((s1, s2))
+        return commutes(s1, s2)
 
-@pytest.mark.parametrize("wrong", [_drop_last_chain_step, lambda w: [0] * len(w)])
-def test_overlap_cases_come_from_the_whole_border_chain(monkeypatch, wrong):
-    honest = check_overlap_commutation(8)
-    monkeypatch.setattr(oracles, "border_table", wrong)
-    assert check_overlap_commutation(8).cases < honest.cases
+    monkeypatch.setattr(oracles, "commutes", spy)
+    check_overlap_commutation(10)
+    proper = [(s[:cut], s[cut:]) for s in support.words_up_to(10)
+              for cut in range(1, len(s)) if s.endswith(s[:cut]) and s.startswith(s[cut:])]
+    assert len(seen) == len(set(seen))
+    assert sorted(seen) == sorted(proper)
 
 
 @pytest.mark.parametrize("wrong", [
-    lambda p, n: {p[0] * n},
+    lambda p, n: {"".join(sorted(p)) + str(n)},
     lambda p, n: power_factors(p, max(0, n - 1)),
 ])
 def test_periodicity_lemma_reads_each_factor_set(monkeypatch, wrong):
     monkeypatch.setattr(oracles, "MAX_RECORDED_FAILURES", 10 ** 9)
     monkeypatch.setattr(oracles, "power_factors", wrong)
     monkeypatch.setattr(support, "power_factors", wrong)
-    _assert_same_verdicts([check_periodicity_lemma(5)], [naive_periodicity_lemma(5)])
+    got, want = check_periodicity_lemma(5), naive_periodicity_lemma(5)
+    _assert_same_verdicts([got], [want])
+    assert got.failures == want.failures  # member pairs in the order of a walk over every pair
 
 
 @pytest.mark.parametrize("max_root_len", [0, 1])
