@@ -5,6 +5,7 @@ from wordeq.codes import BinaryCode, ImprimitiveSet, PowerShape, imprimitive_cod
 from wordeq.words import (
     ConjugacyDecomposition,
     ParameterError,
+    border_table,
     commutes,
     exponent,
     power_factors,
@@ -354,6 +355,41 @@ def test_overlap_walk_meets_each_proper_cut_once(monkeypatch):
               for cut in range(1, len(s)) if s.endswith(s[:cut]) and s.startswith(s[cut:])]
     assert len(seen) == len(set(seen))
     assert sorted(seen) == sorted(proper)
+
+
+def _chain_cuts(table_of, max_word_len):
+    # proper cuts c with c and |s| - c both on the border chain
+    # |s|, table[|s| - 1], ..., 0 read from table_of(s)
+    cuts = []
+    for s in support.words_up_to(max_word_len):
+        table, borders = table_of(s), [len(s)]
+        while borders[-1]:
+            borders.append(table[borders[-1] - 1])
+        cuts += [(s[:c], s[c:]) for c in range(1, len(s)) if c in borders and len(s) - c in borders]
+    return cuts
+
+
+def _drop_last_chain_step(w):
+    # the shortest non-empty border of every prefix is read as none
+    table = border_table(w)
+    return [t if t and table[t - 1] else 0 for t in table]
+
+
+@pytest.mark.parametrize("wrong", [_drop_last_chain_step, lambda w: [0] * len(w)])
+def test_overlap_cases_come_from_the_whole_border_chain(monkeypatch, wrong):
+    # the walk meets the cuts of the whole chain; a chain cut short misses some
+    seen = []
+
+    def spy(s1, s2):
+        seen.append((s1, s2))
+        return commutes(s1, s2)
+
+    monkeypatch.setattr(oracles, "commutes", spy)
+    got = check_overlap_commutation(8)
+    whole = _chain_cuts(border_table, 8)
+    assert sorted(seen) == sorted(whole)
+    assert got.cases == 2 * sum(1 for _ in support.words_up_to(8)) + len(whole)
+    assert set(_chain_cuts(wrong, 8)) < set(whole)
 
 
 @pytest.mark.parametrize("wrong", [
