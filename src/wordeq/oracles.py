@@ -437,54 +437,46 @@ def _absorbed(w: str, t: str, root: str) -> bool:
 
 
 def _absorption_checks(max_word_len: int, max_exp: int) -> list[OracleResult]:
-    """The two absorption oracles in one scan over the occurrences of v in t v^E.
+    """The two absorption oracles, each walking only its own hypothesis.
 
-    Fronts t run over every word up to ``max_word_len``, the empty word
-    included.  An occurrence at or after |t| is a short-prefix case; when
-    t is a suffix of v every occurrence is also a prefix-power case with
-    z = t, and each suffix of v is exactly one such t.  Each t v^i is a
-    prefix of t v^E, E = ``max_exp``, and a check reads only the letters
-    up to the end of its occurrence.  So one scan of t v^E checks each
-    occurrence once, and an occurrence at pos counts once for every i
-    from the first whose t v^i holds it up to E.  Failures are re-emitted
-    once per such i, in the (i, pos) order of a scan per exponent.
+    Prefix-power needs z to be a suffix of v, so it walks the |v| + 1
+    suffixes of v, shortest first, and scans z v^i for v once per
+    exponent i.  Short-prefix reads t v^i only from position |t| on,
+    where it is v^i: an occurrence of v at r in v^i is the case w =
+    t v^i[:r], and w lies in t root(v)^* iff v^i[:r] lies in root(v)^*,
+    whatever the front t.  So v^i is scanned once, each occurrence
+    counts once per front t up to ``max_word_len`` (the empty word
+    included), and a failure is named once per front with |w| = |t| + r.
     """
     prefix_power, short_prefix = _Recorder(), _Recorder()
     letters = alphabet(2)
-    # with no exponent t v^E is t alone and holds no case
-    for v in all_words(max_word_len if max_exp >= 1 else 0, letters):
+    fronts = list(all_words(max_word_len, letters, min_len=0))
+    for v in all_words(max_word_len, letters):
         pv, lv = primitive_root(v), len(v)
-        for t in all_words(max_word_len, letters, min_len=0):
-            suffix, lt = v.endswith(t), len(t)
-            base = t + v * max_exp
-            prefix_failed, short_failed = [], []
-            pos = base.find(v, 0 if suffix else lt)
-            while pos >= 0:
-                first = max(1, -((lt - pos - lv) // lv))  # ceil((pos + |v| - |t|) / |v|)
-                counted = max_exp - first + 1
-                if suffix:
-                    prefix_power.cases += counted
-                    if not _absorbed(base[:pos + lv], t, pv):
-                        prefix_failed.append((first, pos))
-                if pos >= lt:
-                    short_prefix.cases += counted
-                    if not _absorbed(base[:pos], t, pv):
-                        short_failed.append((first, pos))
-                pos = base.find(v, pos + 1)
-            _tally_per_exponent(prefix_power, prefix_failed, max_exp, "v=%r z=%r i=%d |u|=%d", v, t)
-            _tally_per_exponent(short_prefix, short_failed, max_exp, "v=%r t=%r i=%d |w|=%d", v, t)
+        for cut in range(lv, -1, -1):
+            z = v[cut:]
+            for i in range(1, max_exp + 1):
+                base = z + v * i
+                pos = base.find(v)
+                while pos >= 0:
+                    prefix_power.record(_absorbed(base[:pos + lv], z, pv),
+                                        "v=%r z=%r i=%d |u|=%d", v, z, i, pos)
+                    pos = base.find(v, pos + 1)
+        short_failed = []
+        for i in range(1, max_exp + 1):
+            power = v * i
+            r = power.find(v)
+            while r >= 0:
+                short_prefix.cases += len(fronts)
+                if not _absorbed(power[:r], "", pv):
+                    short_failed.append((i, r))
+                r = power.find(v, r + 1)
+        if short_failed:
+            for t in fronts:
+                for i, r in short_failed:
+                    short_prefix.tally(1, "v=%r t=%r i=%d |w|=%d", v, t, i, len(t) + r)
     return [prefix_power.result("prefix-power-absorption"),
             short_prefix.result("short-prefix-absorption")]
-
-
-def _tally_per_exponent(rec: _Recorder, failed: list[tuple[int, int]], max_exp: int,
-                        fmt: str, v: str, t: str) -> None:
-    """Keep each failing (first, pos) once for every exponent first..max_exp, by exponent then pos."""
-    if failed:
-        for i in range(failed[0][0], max_exp + 1):
-            for first, pos in failed:
-                if first <= i:
-                    rec.tally(1, fmt, v, t, i, pos)
 
 
 def check_prefix_power_absorption(max_word_len: int = 4, max_exp: int = 3) -> OracleResult:

@@ -181,13 +181,13 @@ def naive_conjugacy_transfer(max_u_len: int, max_z_len: int) -> OracleResult:
 def naive_absorption_checks(max_word_len: int, max_exp: int):
     """[prefix-power-absorption, short-prefix-absorption], one scan each.
 
-    The prefix-power scan walks every suffix z of v; the short-prefix
-    scan walks every front t, from position |t| on.
+    The prefix-power scan walks every suffix z of v, shortest first; the
+    short-prefix scan walks every front t, from position |t| on.
     """
     prefix_power = _Recorder()
     for v in all_words(max_word_len, alphabet(2)):
         pv = primitive_root(v)
-        for zcut in range(len(v) + 1):
+        for zcut in range(len(v), -1, -1):
             z = v[zcut:]
             for i in range(1, max_exp + 1):
                 base = z + v * i

@@ -258,45 +258,52 @@ def test_absorption_pass_checks_each_statement(monkeypatch, wrong):
     _assert_same_verdicts(oracles._absorption_checks(4, 3), naive_absorption_checks(4, 3))
 
 
+def _occurrences(v, s):
+    return sum(s[a:a + len(v)] == v for a in range(len(s) - len(v) + 1))
+
+
 @pytest.mark.parametrize("max_len", range(0, 6))
 def test_absorbed_words_start_with_their_front(monkeypatch, max_len):
-    # _absorbed does not test w.startswith(t): every call passes a prefix
-    # of t v^3 that is at least |t| long, once per occurrence of v that
-    # each statement reads
+    # _absorbed does not test w.startswith(t): every call passes a word
+    # that starts with its front, once per occurrence of v that each
+    # statement reads: v in z v^i for every suffix z of v, and v in v^i
     absorbed = oracles._absorbed
-    calls = 0
+    calls = empty_front_calls = 0
 
     def spy(w, t, root):
-        nonlocal calls
+        nonlocal calls, empty_front_calls
         calls += 1
+        empty_front_calls += t == ""
         assert w.startswith(t), (w, t)
         return absorbed(w, t, root)
 
     monkeypatch.setattr(oracles, "_absorbed", spy)
-    oracles._absorption_checks(max_len, 3)
-    occurrences = 0
+    short = oracles._absorption_checks(max_len, 3)[1]
+    in_suffix_fronts = in_powers = 0
     for v in support.words_up_to(max_len):
-        for t in support.words_up_to(max_len, min_len=0):
-            base = t + v * 3
-            starts = [a for a in range(len(base)) if base[a:a + len(v)] == v]
-            occurrences += len(starts) if v.endswith(t) else 0
-            occurrences += sum(a >= len(t) for a in starts)
-    assert calls == occurrences
+        for i in range(1, 4):
+            in_powers += _occurrences(v, v * i)
+            in_suffix_fronts += sum(_occurrences(v, v[cut:] + v * i) for cut in range(len(v) + 1))
+    assert calls == in_suffix_fronts + in_powers
+    # the short-prefix calls, all with t = "", are one scan of each v^i
+    # (the other half is prefix-power's z = ""), however many fronts the
+    # cases are counted for
+    fronts = len(list(support.words_up_to(max_len, min_len=0)))
+    assert empty_front_calls == 2 * in_powers
+    assert short.cases == fronts * in_powers
 
 
 @pytest.mark.parametrize("max_exp", range(1, 6))
 def test_absorption_pass_counts_each_exponent(monkeypatch, max_exp):
-    # one scan of t v^E stands for every t v^i: a wrong root must fail
-    # the same cases as a scan per exponent, and the short-prefix side,
-    # whose reference walks the fronts in the same order, in that order;
-    # at i = 1 the only short-prefix case is w = t, which nothing fails
+    # a scan per exponent: a wrong root must fail the same cases as the
+    # reference, in its order, on both sides; the short-prefix failures
+    # of one v^i are named once per front; at i = 1 the only
+    # short-prefix case is w = t, which nothing fails
     monkeypatch.setattr(oracles, "MAX_RECORDED_FAILURES", 10 ** 9)
     monkeypatch.setattr(oracles, "primitive_root", lambda w: w[:1])
     monkeypatch.setattr(support, "primitive_root", lambda w: w[:1])
     got, want = oracles._absorption_checks(3, max_exp), naive_absorption_checks(3, max_exp)
-    for g, w in zip(got, want, strict=True):
-        assert (g.name, g.cases, sorted(g.failures)) == (w.name, w.cases, sorted(w.failures))
-    assert got[1] == want[1]
+    assert got == want
     assert 0 < len(got[0].failures) < got[0].cases
     assert len(got[1].failures) < got[1].cases and (max_exp == 1) == (not got[1].failures)
 
