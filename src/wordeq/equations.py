@@ -23,9 +23,11 @@ side swap are one visit.  It unions each primitive tuple (gcd 1) once,
 decides its multiples within the bound from the same classes copied per
 residue, computes ``total_solutions`` as the sum of alphabet^c over the
 tuples, and builds words only for non-periodic assignments, told by
-their class labels, one per relabelling orbit (see
-``enumerate_solutions`` for why that is exact).  ``iter_solutions``
-stays the raw enumerator.
+their class labels, one per symmetry orbit (see ``enumerate_solutions``
+for why that is exact).  Two facts keep it from naming images that
+cannot win: with i >= 1 the side swap is never the least image, and
+when i == k the mirror is judged on growth strings before any word is
+built.  ``iter_solutions`` stays the raw enumerator.
 
 The search runs in one process.  The ``shards`` argument is accepted and
 validated for compatibility but starts no processes, so reports are
@@ -194,6 +196,15 @@ def _tuple_solutions(
         yield s[:a], s[a:b], lu, s[b:c], s[c:]
 
 
+def _word_tuple(
+    letters: str, growth: list[int], scaled: list[int], cuts: tuple[int, int, int]
+) -> tuple[str, str, str, str]:
+    """(x, y, u, v) when class c carries letters[growth[c]], cut at |x|, |x y| and |x y u|."""
+    a, b, c = cuts
+    s = "".join([letters[growth[t]] for t in scaled])
+    return s[:a], s[a:b], s[b:c], s[c:]
+
+
 def _restricted_growth(count: int, size: int) -> Iterator[list[int]]:
     """Every restricted-growth string of the given length with at most ``size`` blocks.
 
@@ -257,13 +268,54 @@ def _least_image(exps: Exponents, words: tuple[str, ...]) -> tuple[str, ...]:
 
     ``words`` must be named by first occurrence, which makes it the
     least relabelling of itself; only the side swap and, when i == k,
-    the two mirrors are named here.  They use the same letters, so they
-    fit the alphabet whenever ``words`` does.
+    the two mirrors can be less.  They use the same letters, so they fit
+    the alphabet whenever ``words`` does.
+
+    When x is a proper prefix of u, as in every solution with i >= 1 and
+    |x| < |u|, the named swap starts with named u, whose first |x|
+    letters are named exactly as x is, so it is greater than ``words``
+    and is not named.  Likewise the mirrored swap loses to the mirror
+    when x is a proper suffix of u.  ``enumerate_solutions`` therefore
+    calls this only when i = 0: with i >= 1 no swap can win, and when
+    i == k it judges the mirror on growth strings (``_mirror_is_less``).
     """
     i, _, k = exps
+    x, _, u, _ = words
     swap = words[2:] + words[:2]
-    mirrors = [tuple(w[::-1] for w in t) for t in (words, swap)] if i == k else []
-    return min(words, *(_named(t) for t in [swap, *mirrors]))
+    images = [] if len(x) < len(u) and u.startswith(x) else [swap]
+    if i == k:
+        images.append(tuple(w[::-1] for w in words))
+        if not (len(x) < len(u) and u.endswith(x)):
+            images.append(tuple(w[::-1] for w in swap))
+    return min([words, *map(_named, images)])
+
+
+def _mirror_classes(scaled: list[int], cuts: tuple[int, int, int]) -> list[int]:
+    """sigma[c], the class at the mirrored position of each class c of ``scaled``.
+
+    The mirror reverses each of the four words, which the cuts delimit.
+    It maps a solution of an i == k length tuple to another, so it maps
+    whole classes to classes; ``scaled`` is numbered by first occurrence,
+    so the dict's keys come in the order 0, 1, 2, ...
+    """
+    a, b, c = cuts
+    mirrored = scaled[:a][::-1] + scaled[a:b][::-1] + scaled[b:c][::-1] + scaled[c:][::-1]
+    return list(dict(zip(scaled, mirrored)).values())
+
+
+def _mirror_is_less(r: list[int], sigma: list[int]) -> bool:
+    """True iff the growth string of the named mirror of ``r`` is less than ``r``.
+
+    The mirror assigns r[sigma[c]] to class c, and naming it by first
+    occurrence renumbers that string as a restricted-growth string; the
+    two are compared up to their first difference.
+    """
+    names: dict[int, int] = {}
+    for c, m in zip(r, sigma):
+        d = names.setdefault(r[m], len(names))
+        if d != c:
+            return d < c
+    return False
 
 
 def canonical_instance(inst: EquationInstance, alphabet_size: int) -> EquationInstance:
@@ -364,22 +416,40 @@ def enumerate_solutions(
       tuples get assignments, one per relabelling orbit; a growth string
       that repeats its first g letters is periodic and skipped unbuilt.
       The growth string names the classes by first occurrence, so its
-      word tuple is already named a, b, c, ... in reading order, and
-      ``_least_image`` names only its side swap and mirrors.
+      word tuple is already named a, b, c, ... in reading order.
     - The side swap (|u|, |v|, |x|, |y|) joins the same positions, so it
       has the same class count, and swapping the sides maps its solutions
       one to one onto those of t, keeping periodicity.  The swapped
       solutions lie in the orbits ``canonical_instance`` already folds,
       so the walk visits the unordered pairs of sides of each length n
       (the diagonal pairs, |u| = |x|, only without ``distinct_only``),
-      and an off-diagonal pair counts twice.
+      and an off-diagonal pair counts twice.  So the walk meets each
+      orbit in one growth string, and when i == k also in that of its
+      mirror, which keeps every length.
+    - With i >= 1 the side swap never wins.  Off the diagonal the walk
+      has |x| < |u|, so x is a proper prefix of u, and the named swap
+      starts with named u, whose first |x| letters are named as x is: it
+      is greater than the candidate.  With k >= 1, x is a proper suffix
+      of u, and each mirror likewise beats its mirrored swap.  On the
+      diagonal the swap is the tuple itself.  So with i >= 1 and i != k
+      every candidate is its orbit's least image; with i = 0 (so k >= 1
+      and i != k) ``_least_image`` still names the swap.
+    - With i == k the mirror permutes the classes: sigma[c] is the class
+      at the mirrored position of class c.  The named mirror of growth
+      string r is r o sigma renumbered by first occurrence, and since the
+      classes are numbered by first occurrence, two named word tuples of
+      one length tuple compare as their growth strings do.  So r is kept,
+      and built, iff r is at most its mirror's growth string.  Each
+      orbit's word tuple is then built exactly once, so the
+      representatives are collected in a list, not a set.
     """
     exps = Exponents(*exps)
     letters = _validate_search_args(exps, alphabet_size, max_total_len, shards)
+    i, _, k = exps
     lo = 0 if allow_empty else 1
     pairs = combinations if distinct_only else combinations_with_replacement
     total = 0
-    reps: set[tuple[str, str, str, str]] = set()
+    reps: list[tuple[str, str, str, str]] = []
     for n in range(1, max_total_len + 1):
         multiples = range(1, max_total_len // n + 1)
         for (lx, ly), (lu, lv) in pairs(_sides(exps, n, lo), 2):
@@ -392,13 +462,17 @@ def enumerate_solutions(
             label = _first_occurrence_labels(parent)
             for g in multiples:
                 scaled = _residue_labels(label, g)
-                a, b, c = g * lx, g * (lx + ly), g * (lx + ly + lu)
+                cuts = g * lx, g * (lx + ly), g * (lx + ly + lu)
+                sigma = _mirror_classes(scaled, cuts) if i == k else None
                 for growth in _restricted_growth(g * count, alphabet_size):
                     if growth == growth[:g] * count:
                         continue  # the letter depends on the residue alone: periodic
-                    s = "".join([letters[growth[t]] for t in scaled])
-                    reps.add(_least_image(exps, (s[:a], s[a:b], s[b:c], s[c:])))
-    nonperiodic = tuple(EquationInstance(exps, *words) for words in sorted(reps))
+                    if sigma and _mirror_is_less(growth, sigma):
+                        continue  # the mirror is the less named image
+                    words = _word_tuple(letters, growth, scaled, cuts)
+                    reps.append(words if i else _least_image(exps, words))
+    reps.sort()
+    nonperiodic = tuple(EquationInstance(exps, *words) for words in reps)
     return SolutionReport(exps, alphabet_size, max_total_len, total, nonperiodic,
                           distinct_only, allow_empty)
 

@@ -436,22 +436,14 @@ def _absorbed(w: str, t: str, root: str) -> bool:
     return rest == root * (len(rest) // len(root))
 
 
-def _absorption_checks(max_word_len: int, max_exp: int) -> list[OracleResult]:
-    """The two absorption oracles, each walking only its own hypothesis.
+def check_prefix_power_absorption(max_word_len: int = 4, max_exp: int = 3) -> OracleResult:
+    """If z is a suffix of v and u v a prefix of z v^i, then u v lies in z root(v)^*.
 
-    Prefix-power needs z to be a suffix of v, so it walks the |v| + 1
-    suffixes of v, shortest first, and scans z v^i for v once per
-    exponent i.  Short-prefix reads t v^i only from position |t| on,
-    where it is v^i: an occurrence of v at r in v^i is the case w =
-    t v^i[:r], and w lies in t root(v)^* iff v^i[:r] lies in root(v)^*,
-    whatever the front t.  So v^i is scanned once, each occurrence
-    counts once per front t up to ``max_word_len`` (the empty word
-    included), and a failure is named once per front with |w| = |t| + r.
+    The walk meets only the hypothesis: the |v| + 1 suffixes z of v,
+    shortest first, and one scan of z v^i for v per exponent i.
     """
-    prefix_power, short_prefix = _Recorder(), _Recorder()
-    letters = alphabet(2)
-    fronts = list(all_words(max_word_len, letters, min_len=0))
-    for v in all_words(max_word_len, letters):
+    prefix_power = _Recorder()
+    for v in all_words(max_word_len, alphabet(2)):
         pv, lv = primitive_root(v), len(v)
         for cut in range(lv, -1, -1):
             z = v[cut:]
@@ -462,6 +454,24 @@ def _absorption_checks(max_word_len: int, max_exp: int) -> list[OracleResult]:
                     prefix_power.record(_absorbed(base[:pos + lv], z, pv),
                                         "v=%r z=%r i=%d |u|=%d", v, z, i, pos)
                     pos = base.find(v, pos + 1)
+    return prefix_power.result("prefix-power-absorption")
+
+
+def check_short_prefix_absorption(max_word_len: int = 4, max_exp: int = 3) -> OracleResult:
+    """If |t| <= |w| and w v is a prefix of t v^i, then w lies in t root(v)^*.
+
+    The walk reads t v^i only from position |t| on, where it is v^i: an
+    occurrence of v at r in v^i is the case w = t v^i[:r], and w lies in
+    t root(v)^* iff v^i[:r] lies in root(v)^*, whatever the front t.  So
+    v^i is scanned once, each occurrence counts once per front t up to
+    ``max_word_len`` (the empty word included), and a failure is named
+    once per front with |w| = |t| + r.
+    """
+    short_prefix = _Recorder()
+    letters = alphabet(2)
+    fronts = list(all_words(max_word_len, letters, min_len=0))
+    for v in all_words(max_word_len, letters):
+        pv = primitive_root(v)
         short_failed = []
         for i in range(1, max_exp + 1):
             power = v * i
@@ -475,18 +485,7 @@ def _absorption_checks(max_word_len: int, max_exp: int) -> list[OracleResult]:
             for t in fronts:
                 for i, r in short_failed:
                     short_prefix.tally(1, "v=%r t=%r i=%d |w|=%d", v, t, i, len(t) + r)
-    return [prefix_power.result("prefix-power-absorption"),
-            short_prefix.result("short-prefix-absorption")]
-
-
-def check_prefix_power_absorption(max_word_len: int = 4, max_exp: int = 3) -> OracleResult:
-    """If z is a suffix of v and u v a prefix of z v^i, then u v lies in z root(v)^*."""
-    return _absorption_checks(max_word_len, max_exp)[0]
-
-
-def check_short_prefix_absorption(max_word_len: int = 4, max_exp: int = 3) -> OracleResult:
-    """If |t| <= |w| and w v is a prefix of t v^i, then w lies in t root(v)^*."""
-    return _absorption_checks(max_word_len, max_exp)[1]
+    return short_prefix.result("short-prefix-absorption")
 
 
 def _factor_pair_checks(max_v_len: int, max_exp: int) -> list[OracleResult]:
@@ -561,6 +560,7 @@ def run_lemma_suite(max_len: int = 6) -> list[OracleResult]:
         check_overlap_commutation(max_word_len=max(2, 2 * (max_len - 1))),
         check_conjugacy_transfer(max_u_len=max(1, max_len - 1), max_z_len=max_len + 1),
         *_code_pair_checks(max_word_len=word_cap, max_exp=max(1, max_len), max_code_len=code_cap),
-        *_absorption_checks(max_word_len=word_cap, max_exp=3),
+        check_prefix_power_absorption(max_word_len=word_cap, max_exp=3),
+        check_short_prefix_absorption(max_word_len=word_cap, max_exp=3),
         *_factor_pair_checks(max_v_len=word_cap, max_exp=3),
     ]

@@ -363,9 +363,14 @@ def naive_orbit_minimum(exps, words, alphabet_size: int):
     base = [(x, y, u, v), (u, v, x, y)]
     if i == k:
         base += [tuple(w[::-1] for w in t) for t in base]
+    return naive_least_relabelling(base, alphabet_size)
+
+
+def naive_least_relabelling(tuples, alphabet_size: int):
+    """Least image of the word tuples under every injective map of their letters into the alphabet."""
     letters = "abcdefghijklmnopqrstuvwxyz"[:alphabet_size]
     images = []
-    for t in base:
+    for t in tuples:
         occurring = sorted(set("".join(t)))
         for image in permutations(letters, len(occurring)):
             mapping = dict(zip(occurring, image))

@@ -1,7 +1,7 @@
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wordeq import equations
@@ -9,11 +9,16 @@ from wordeq.equations import (
     EquationInstance,
     Exponents,
     _first_occurrence_labels,
+    _least_image,
+    _mirror_classes,
+    _mirror_is_less,
+    _named,
     _residue_labels,
     _restricted_growth,
     _sides,
     _tuple_solutions,
     _union_positions,
+    _word_tuple,
     canonical_instance,
     check,
     conjecture_scan,
@@ -26,7 +31,13 @@ from wordeq.equations import (
 )
 from wordeq.families import family_i1k1, family_j2
 from wordeq.words import ParameterError
-from support import listed_report, naive_orbit_minimum, naive_primitive_root, naive_solutions
+from support import (
+    listed_report,
+    naive_least_relabelling,
+    naive_orbit_minimum,
+    naive_primitive_root,
+    naive_solutions,
+)
 
 
 def make(exps, x, y, u, v):
@@ -193,17 +204,37 @@ MULTIPLE_CASES = [
     ((1, 1, 1), 10, True, False),
     ((1, 2, 1), 20, True, False),
 ]
+# i == k with empty words, where the mirror is judged on growth strings
+# and x may be empty; alphabet 3 only, as listing them takes about a second
+EMPTY_MIRROR_CASES = [
+    ((1, 1, 1), 8, True, True),
+    ((2, 1, 2), 10, False, True),
+]
 
 
 @pytest.mark.parametrize("alphabet_size", [2, 3, 4, 5, 6, 26])
-def test_orbits_match_listed_reference_across_alphabets(alphabet_size):
-    # one restricted-growth assignment per relabelling orbit finds every orbit
+def test_orbits_match_listed_reference_across_alphabets(monkeypatch, alphabet_size):
+    # one restricted-growth assignment per relabelling orbit finds every
+    # orbit, and a word tuple is built for that one growth string only
+    built = 0
+    word_tuple = equations._word_tuple
+
+    def counting(*args):
+        nonlocal built
+        built += 1
+        return word_tuple(*args)
+
+    monkeypatch.setattr(equations, "_word_tuple", counting)
     cases = ALPHABET_26_CASES if alphabet_size == 26 else ALPHABET_CASES
     if alphabet_size == 2:
         cases = cases + MULTIPLE_CASES
+    if alphabet_size == 3:
+        cases = cases + EMPTY_MIRROR_CASES
     for exps, bound, distinct_only, allow_empty in cases:
+        built = 0
         report = enumerate_solutions(exps, alphabet_size, bound,
                                      distinct_only=distinct_only, allow_empty=allow_empty)
+        assert built == len(report.nonperiodic), exps
         total, orbits = listed_report(exps, alphabet_size, bound, distinct_only, allow_empty)
         assert report.total_solutions == total, exps
         assert [inst.words() for inst in report.nonperiodic] == orbits, exps
@@ -286,10 +317,13 @@ def scaled_classes(exps, t):
 
 
 @st.composite
-def length_tuples(draw, bound=12):
-    """Exponents with j >= 1 and i + k >= 1, and one length tuple of theirs within the bound."""
-    i = draw(st.integers(0, 3))
-    k = draw(st.integers(0 if i else 1, 3))
+def length_tuples(draw, bound=12, mirrored=False):
+    """Exponents with j >= 1 and i + k >= 1, and one length tuple of theirs within the bound.
+
+    With ``mirrored`` the exponents have i == k >= 1.
+    """
+    i = draw(st.integers(1 if mirrored else 0, 3))
+    k = i if mirrored else draw(st.integers(0 if i else 1, 3))
     exps = Exponents(i, draw(st.integers(1, 3)), k)
     return exps, draw(st.sampled_from(all_length_tuples(exps, max(bound, sum(exps)))))
 
@@ -329,9 +363,9 @@ def test_scaled_labels_partition_the_positions_as_union_find_does(case, m):
 
 
 @st.composite
-def nonperiodic_tuples(draw, bound=12):
+def nonperiodic_tuples(draw, bound=12, mirrored=False):
     """Exponents and a length tuple of theirs with c(t / g) > 1 and at most 9 classes."""
-    exps, _ = draw(length_tuples(bound))
+    exps, _ = draw(length_tuples(bound, mirrored))
     tuples = [t for t in all_length_tuples(exps, bound)
               if gcd(*t) < _union_positions(exps, *t)[0] <= 9]
     assume(tuples)
@@ -366,6 +400,75 @@ def test_growth_string_candidates_are_already_named(case, alphabet_size):
         words = (s[:a], s[a:b], s[b:c], s[c:])
         naming = {letter: "abc"[n] for n, letter in enumerate(dict.fromkeys(s))}
         assert tuple("".join(naming[x] for x in w) for w in words) == words, (exps, t, growth)
+
+
+def walk_orientation(t):
+    """The tuple or its side swap, whichever has |x| <= |u|, as ``enumerate_solutions`` walks them."""
+    lx, ly, lu, lv = t
+    return t if lx <= lu else (lu, lv, lx, ly)
+
+
+def candidates(exps, t, alphabet_size):
+    """(growth string, word tuple) for every growth string of t, as ``enumerate_solutions`` builds them."""
+    count, label = scaled_classes(exps, t)
+    cuts = t[0], t[0] + t[1], t[0] + t[1] + t[2]
+    for growth in _restricted_growth(count, alphabet_size):
+        yield list(growth), _word_tuple("abc", growth, label, cuts)
+
+
+def mirror(words):
+    return tuple(w[::-1] for w in words)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nonperiodic_tuples(), st.sampled_from([2, 3]))
+def test_side_swap_never_wins_when_i_is_positive(case, alphabet_size):
+    # enumerate_solutions names no side swap when i >= 1: off the
+    # diagonal x is a proper prefix of u, and with k >= 1 a proper suffix
+    exps, t = case
+    t = walk_orientation(t)
+    assume(exps.i >= 1 and t[0] < t[2])
+    for _, words in candidates(exps, t, alphabet_size):
+        swap = words[2:] + words[:2]
+        assert naive_least_relabelling([swap], alphabet_size) > words, (exps, t, words)
+        if exps.i == exps.k:
+            named_mirror = naive_least_relabelling([mirror(words)], alphabet_size)
+            assert naive_least_relabelling([mirror(swap)], alphabet_size) > named_mirror
+
+
+def test_side_swap_can_win_when_i_is_0():
+    # |x| < |u| here too, but x is a suffix of u, not a prefix: with i = 0
+    # _least_image must still name the swap
+    exps = Exponents(0, 1, 1)
+    words = ("ab", "aa", "aab", "a")
+    inst = EquationInstance(exps, *words)
+    assert check(inst) and not is_periodic_solution(inst)
+    swap = _named(words[2:] + words[:2])
+    assert swap == ("aab", "a", "ab", "aa") < words
+    assert _least_image(exps, words) == swap == naive_orbit_minimum(exps, words, 2)
+    assert EquationInstance(exps, *swap) in enumerate_solutions(exps, 2, 6).nonperiodic
+
+
+def renormalised(r):
+    names = {}
+    return [names.setdefault(c, len(names)) for c in r]
+
+
+@settings(max_examples=60, deadline=None)
+@given(nonperiodic_tuples(mirrored=True), st.sampled_from([2, 3]))
+def test_mirror_is_judged_on_growth_strings(case, alphabet_size):
+    # with i == k, enumerate_solutions keeps r iff r <= renorm(r o sigma),
+    # which must hold iff r's words are the least image of the tuple and
+    # its mirror under every relabelling
+    exps, t = case
+    t = walk_orientation(t)
+    count, label = scaled_classes(exps, t)
+    sigma = _mirror_classes(label, (t[0], t[0] + t[1], t[0] + t[1] + t[2]))
+    for growth, words in candidates(exps, t, alphabet_size):
+        mirrored = renormalised([growth[m] for m in sigma])
+        least = naive_least_relabelling([words, mirror(words)], alphabet_size)
+        assert (growth <= mirrored) == (words == least), (exps, t, growth)
+        assert _mirror_is_less(growth, sigma) == (mirrored < growth), (exps, t, growth)
 
 
 @settings(max_examples=200, deadline=None)
@@ -478,6 +581,18 @@ def test_canonical_instance_matches_brute_force_orbit(exps, alphabet_size, bound
     for inst in nonperiodic:
         expected = naive_orbit_minimum(exps, inst.words(), alphabet_size)
         assert canonical_instance(inst, alphabet_size).words() == expected, inst
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(1, 1, 1), (0, 1, 1), (1, 2, 2)]),
+       st.lists(st.text("abc", max_size=4), min_size=4, max_size=4))
+@example((1, 1, 1), ["ab", "a", "abb", "b"])  # x a prefix, not a suffix, of u: the mirrored swap wins
+def test_canonical_instance_is_orbit_minimum_of_any_tuple(exps, words):
+    # _least_image skips a swap image only when x is a proper prefix (or,
+    # for the mirror, suffix) of u; that must hold for tuples that solve
+    # nothing, where x can be one and not the other
+    inst = make(exps, *words)
+    assert canonical_instance(inst, 3).words() == naive_orbit_minimum(exps, tuple(words), 3)
 
 
 def test_canonical_instance_ignores_unused_letters_and_rejects_overflow():

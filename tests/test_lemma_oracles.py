@@ -218,10 +218,15 @@ def test_periodicity_lemma_matches_the_pairwise_factor_sets(max_root_len):
     assert check_periodicity_lemma(max_root_len) == naive_periodicity_lemma(max_root_len)
 
 
+def _absorption_passes(max_word_len, max_exp):
+    return [check_prefix_power_absorption(max_word_len, max_exp),
+            check_short_prefix_absorption(max_word_len, max_exp)]
+
+
 @pytest.mark.parametrize("max_len", range(0, 6))
 @pytest.mark.parametrize("max_exp", range(0, 5))
 def test_power_factor_passes_match_the_separate_scans(max_len, max_exp):
-    assert oracles._absorption_checks(max_len, max_exp) == naive_absorption_checks(max_len, max_exp)
+    assert _absorption_passes(max_len, max_exp) == naive_absorption_checks(max_len, max_exp)
     assert oracles._factor_pair_checks(max_len, max_exp) == naive_factor_pair_checks(max_len, max_exp)
 
 
@@ -255,7 +260,7 @@ def test_absorption_pass_checks_each_statement(monkeypatch, wrong):
     monkeypatch.setattr(oracles, "MAX_RECORDED_FAILURES", 10 ** 9)
     monkeypatch.setattr(oracles, "primitive_root", wrong)
     monkeypatch.setattr(support, "primitive_root", wrong)
-    _assert_same_verdicts(oracles._absorption_checks(4, 3), naive_absorption_checks(4, 3))
+    _assert_same_verdicts(_absorption_passes(4, 3), naive_absorption_checks(4, 3))
 
 
 def _occurrences(v, s):
@@ -278,18 +283,20 @@ def test_absorbed_words_start_with_their_front(monkeypatch, max_len):
         return absorbed(w, t, root)
 
     monkeypatch.setattr(oracles, "_absorbed", spy)
-    short = oracles._absorption_checks(max_len, 3)[1]
     in_suffix_fronts = in_powers = 0
     for v in support.words_up_to(max_len):
         for i in range(1, 4):
             in_powers += _occurrences(v, v * i)
             in_suffix_fronts += sum(_occurrences(v, v[cut:] + v * i) for cut in range(len(v) + 1))
-    assert calls == in_suffix_fronts + in_powers
-    # the short-prefix calls, all with t = "", are one scan of each v^i
-    # (the other half is prefix-power's z = ""), however many fronts the
-    # cases are counted for
+    check_prefix_power_absorption(max_len, 3)
+    assert calls == in_suffix_fronts
+    assert empty_front_calls == in_powers  # z = ""
+    # the short-prefix calls, all with t = "", are one scan of each v^i,
+    # however many fronts the cases are counted for
+    calls = empty_front_calls = 0
+    short = check_short_prefix_absorption(max_len, 3)
     fronts = len(list(support.words_up_to(max_len, min_len=0)))
-    assert empty_front_calls == 2 * in_powers
+    assert calls == empty_front_calls == in_powers
     assert short.cases == fronts * in_powers
 
 
@@ -302,7 +309,7 @@ def test_absorption_pass_counts_each_exponent(monkeypatch, max_exp):
     monkeypatch.setattr(oracles, "MAX_RECORDED_FAILURES", 10 ** 9)
     monkeypatch.setattr(oracles, "primitive_root", lambda w: w[:1])
     monkeypatch.setattr(support, "primitive_root", lambda w: w[:1])
-    got, want = oracles._absorption_checks(3, max_exp), naive_absorption_checks(3, max_exp)
+    got, want = _absorption_passes(3, max_exp), naive_absorption_checks(3, max_exp)
     assert got == want
     assert 0 < len(got[0].failures) < got[0].cases
     assert len(got[1].failures) < got[1].cases and (max_exp == 1) == (not got[1].failures)
