@@ -24,10 +24,8 @@ decides its multiples within the bound from the same classes copied per
 residue, computes ``total_solutions`` as the sum of alphabet^c over the
 tuples, and builds words only for non-periodic assignments, told by
 their class labels, one per symmetry orbit (see ``enumerate_solutions``
-for why that is exact).  Two facts keep it from naming images that
-cannot win: with i >= 1 the side swap is never the least image, and
-when i == k the mirror is judged on growth strings before any word is
-built.  ``iter_solutions`` stays the raw enumerator.
+for why that is exact and which images it names).  ``iter_solutions``
+stays the raw enumerator.
 
 The search runs in one process.  The ``shards`` argument is accepted and
 validated for compatibility but starts no processes, so reports are
@@ -263,33 +261,6 @@ def _named(words: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(w.translate(table) for w in words)
 
 
-def _least_image(exps: Exponents, words: tuple[str, ...]) -> tuple[str, ...]:
-    """The least member of the symmetry orbit of ``words``, already named.
-
-    ``words`` must be named by first occurrence, which makes it the
-    least relabelling of itself; only the side swap and, when i == k,
-    the two mirrors can be less.  They use the same letters, so they fit
-    the alphabet whenever ``words`` does.
-
-    When x is a proper prefix of u, as in every solution with i >= 1 and
-    |x| < |u|, the named swap starts with named u, whose first |x|
-    letters are named exactly as x is, so it is greater than ``words``
-    and is not named.  Likewise the mirrored swap loses to the mirror
-    when x is a proper suffix of u.  ``enumerate_solutions`` therefore
-    calls this only when i = 0: with i >= 1 no swap can win, and when
-    i == k it judges the mirror on growth strings (``_mirror_is_less``).
-    """
-    i, _, k = exps
-    x, _, u, _ = words
-    swap = words[2:] + words[:2]
-    images = [] if len(x) < len(u) and u.startswith(x) else [swap]
-    if i == k:
-        images.append(tuple(w[::-1] for w in words))
-        if not (len(x) < len(u) and u.endswith(x)):
-            images.append(tuple(w[::-1] for w in swap))
-    return min([words, *map(_named, images)])
-
-
 def _mirror_classes(scaled: list[int], cuts: tuple[int, int, int]) -> list[int]:
     """sigma[c], the class at the mirrored position of each class c of ``scaled``.
 
@@ -328,13 +299,20 @@ def canonical_instance(inst: EquationInstance, alphabet_size: int) -> EquationIn
 
     Relabelling keeps word lengths, so the least relabelling of a tuple
     names its letters a, b, c, ... in order of first occurrence; the
-    cost does not depend on the alphabet.
+    cost does not depend on the alphabet.  The result is the least of
+    the named tuple, its named side swap and, when i == k, the named
+    mirrors of both.
     """
     alphabet(alphabet_size)  # raises ParameterError on a bad size
     used = len(set("".join(inst.words())))
     if used > alphabet_size:
         raise ValueError(f"{used} distinct letters exceed the alphabet of {alphabet_size}")
-    return EquationInstance(inst.exps, *_least_image(inst.exps, _named(inst.words())))
+    i, _, k = inst.exps
+    words = inst.words()
+    images = [words, words[2:] + words[:2]]
+    if i == k:
+        images += [tuple(w[::-1] for w in image) for image in images]
+    return EquationInstance(inst.exps, *min(map(_named, images)))
 
 
 @dataclass(frozen=True)
@@ -426,14 +404,15 @@ def enumerate_solutions(
       and an off-diagonal pair counts twice.  So the walk meets each
       orbit in one growth string, and when i == k also in that of its
       mirror, which keeps every length.
-    - With i >= 1 the side swap never wins.  Off the diagonal the walk
-      has |x| < |u|, so x is a proper prefix of u, and the named swap
-      starts with named u, whose first |x| letters are named as x is: it
-      is greater than the candidate.  With k >= 1, x is a proper suffix
-      of u, and each mirror likewise beats its mirrored swap.  On the
-      diagonal the swap is the tuple itself.  So with i >= 1 and i != k
-      every candidate is its orbit's least image; with i = 0 (so k >= 1
-      and i != k) ``_least_image`` still names the swap.
+    - The side swap is named only when u does not start with x.  The
+      walk has |x| <= |u|, and if x is a prefix of u, the named swap
+      starts with named u, whose first |x| letters are named exactly as
+      x is, so the swap is not less than the candidate.  With i >= 1
+      every solution has x as a prefix of u, so no swap is ever named;
+      with i = 0 a candidate whose u does not start with x is replaced
+      by its named swap when that is less.  With i == k (so k >= 1) x
+      is also a suffix of u, so each mirrored swap is likewise not less
+      than its mirror, and only the mirror is left to judge.
     - With i == k the mirror permutes the classes: sigma[c] is the class
       at the mirrored position of class c.  The named mirror of growth
       string r is r o sigma renumbered by first occurrence, and since the
@@ -470,7 +449,9 @@ def enumerate_solutions(
                     if sigma and _mirror_is_less(growth, sigma):
                         continue  # the mirror is the less named image
                     words = _word_tuple(letters, growth, scaled, cuts)
-                    reps.append(words if i else _least_image(exps, words))
+                    if not words[2].startswith(words[0]):
+                        words = min(words, _named(words[2:] + words[:2]))
+                    reps.append(words)
     reps.sort()
     nonperiodic = tuple(EquationInstance(exps, *words) for words in reps)
     return SolutionReport(exps, alphabet_size, max_total_len, total, nonperiodic,

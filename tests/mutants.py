@@ -1,0 +1,186 @@
+"""A standing mutation check for the fast paths.
+
+Each mutant names a file, an exact source fragment in it, the fragment's
+replacement and the pytest node ids that must catch it.  The check copies
+``src`` and ``tests`` to a temporary directory, runs every listed node id
+there once unmutated (they must all pass), then applies each mutant to a
+fresh copy and runs its node ids: the mutant is caught when every one of
+them fails, and survives otherwise.  A fragment that does not occur
+exactly once in its file is an error, not a skip, so the list cannot go
+stale silently.
+
+Standard library only; pytest does not collect this file.  Run it from
+any directory, with pytest and hypothesis installed:
+
+    python tests/mutants.py              # every mutant
+    python tests/mutants.py -k absorp    # mutants whose name contains "absorp"
+
+Exit status: 0 if every mutant was caught, 1 if one survived, 2 on an
+error: a stale fragment, a node id that does not exist, or an unmutated
+copy that fails its node ids.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+import xml.etree.ElementTree as ET
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+EQUATIONS = "src/wordeq/equations.py"
+ORACLES = "src/wordeq/oracles.py"
+EQ = "tests/test_equations.py::"
+LEMMAS = "tests/test_lemma_oracles.py::"
+COUNTS = (LEMMAS + "test_absorption_pass_counts_each_exponent[2]",)
+FRONTS = (LEMMAS + "test_absorbed_words_start_with_their_front[3]",)
+STATEMENTS = (LEMMAS + "test_absorption_pass_checks_each_statement[<lambda>1]",)
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    fragment: str
+    replacement: str
+    must_fail: tuple[str, ...]
+
+
+MUTANTS = [
+    # the side-swap rule of enumerate_solutions and canonical_instance
+    Mutant("side swap never named", EQUATIONS,
+           "if not words[2].startswith(words[0]):", "if False:",
+           (EQ + "test_side_swap_can_win_when_i_is_0",
+            EQ + "test_side_swap_is_named_only_when_u_does_not_start_with_x",
+            EQ + "test_counted_report_matches_listed_every_small_triple[0-1-1]")),
+    Mutant("side swap rule tests endswith", EQUATIONS,
+           "if not words[2].startswith(words[0]):", "if not words[2].endswith(words[0]):",
+           (EQ + "test_side_swap_can_win_when_i_is_0",
+            EQ + "test_side_swap_is_named_only_when_u_does_not_start_with_x",
+            EQ + "test_counted_report_matches_listed_every_small_triple[0-1-1]")),
+    Mutant("side swap guard dropped", EQUATIONS,
+           "if not words[2].startswith(words[0]):", "if True:",
+           (EQ + "test_side_swap_is_named_only_when_u_does_not_start_with_x",)),
+    Mutant("canonical_instance without the mirrored swap", EQUATIONS,
+           "images += [tuple(w[::-1] for w in image) for image in images]",
+           "images.append(tuple(w[::-1] for w in words))",
+           (EQ + "test_canonical_instance_is_orbit_minimum_of_any_tuple",
+            EQ + "test_canonical_instance_matches_brute_force_orbit[exps1-3-7-True]",
+            EQ + "test_counted_report_matches_listed_every_small_triple[1-1-1]")),
+    # the mirror judged on growth strings
+    Mutant("sigma from unreversed slices", EQUATIONS,
+           "mirrored = scaled[:a][::-1] + scaled[a:b][::-1] + scaled[b:c][::-1] + scaled[c:][::-1]",
+           "mirrored = scaled[:a] + scaled[a:b] + scaled[b:c] + scaled[c:]",
+           (EQ + "test_counted_report_matches_listed_every_small_triple[1-1-1]",
+            EQ + "test_nonperiodic_reps_invariant_under_symmetries")),
+    Mutant("sigma reads x from scaled[a - 1::-1]", EQUATIONS,
+           "mirrored = scaled[:a][::-1] +", "mirrored = scaled[a - 1::-1] +",
+           (EQ + "test_counted_report_matches_listed_every_small_triple[1-1-1]",
+            EQ + "test_counted_report_matches_listed_every_small_triple[2-1-2]")),
+    Mutant("mirror growth string not renumbered", EQUATIONS,
+           "d = names.setdefault(r[m], len(names))", "d = r[m]",
+           (EQ + "test_counted_report_matches_listed_every_small_triple[1-1-1]",
+            EQ + "test_nonperiodic_reps_invariant_under_symmetries")),
+    Mutant("mirror test < for <=", EQUATIONS,
+           "            return d < c\n    return False", "            return d < c\n    return True",
+           (EQ + "test_nonforcing_at_boundary",
+            EQ + "test_counted_report_matches_listed_every_small_triple[1-1-1]")),
+    # the two absorption walks
+    Mutant("prefix-power suffixes longest first", ORACLES,
+           "for cut in range(lv, -1, -1):", "for cut in range(lv + 1):",
+           COUNTS),
+    Mutant("prefix-power z = '' dropped", ORACLES,
+           "for cut in range(lv, -1, -1):", "for cut in range(lv - 1, -1, -1):",
+           COUNTS + FRONTS),
+    Mutant("prefix-power z = v dropped", ORACLES,
+           "for cut in range(lv, -1, -1):", "for cut in range(lv, 0, -1):",
+           COUNTS + FRONTS),
+    Mutant("prefix-power i = E skipped", ORACLES,
+           "for i in range(1, max_exp + 1):\n                base = z + v * i",
+           "for i in range(1, max_exp):\n                base = z + v * i",
+           COUNTS + FRONTS),
+    Mutant("short-prefix cases not multiplied by the fronts", ORACLES,
+           "short_prefix.cases += len(fronts)", "short_prefix.cases += 1",
+           COUNTS + FRONTS),
+    Mutant("short-prefix |w| = r", ORACLES,
+           "v, t, i, len(t) + r)", "v, t, i, r)",
+           COUNTS + STATEMENTS),
+    Mutant("short-prefix power[:r + |v|]", ORACLES,
+           '_absorbed(power[:r], "", pv)', '_absorbed(power[:r + len(v)], "", pv)',
+           COUNTS + STATEMENTS),
+    Mutant("short-prefix i = E skipped", ORACLES,
+           "for i in range(1, max_exp + 1):\n            power = v * i",
+           "for i in range(1, max_exp):\n            power = v * i",
+           COUNTS + FRONTS),
+]
+
+
+def error(message: str):
+    print(f"error: {message}")
+    raise SystemExit(2)
+
+
+def copy_tree(dest: Path) -> None:
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name,
+                        ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+    shutil.copy(ROOT / "pyproject.toml", dest)
+
+
+def failed_ids(tree: Path, ids: tuple[str, ...]) -> set[str]:
+    """Run the node ids in ``tree``; return those that failed or errored."""
+    report = tree / "junit.xml"
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           f"--junitxml={report}", *ids],
+                          cwd=tree, env=env, capture_output=True, text=True)
+    if not report.exists():
+        error(f"pytest wrote no report (exit {proc.returncode}):\n{proc.stdout}{proc.stderr}")
+    ran, failed = set(), set()
+    for case in ET.parse(report).iter("testcase"):
+        node = case.get("classname").replace(".", "/") + ".py::" + case.get("name")
+        ran.add(node)
+        if case.find("failure") is not None or case.find("error") is not None:
+            failed.add(node)
+    if missing := set(ids) - ran:
+        error(f"node ids not run: {sorted(missing)}\n{proc.stdout}{proc.stderr}")
+    return failed
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("-k", default="", help="run only mutants whose name contains this")
+    mutants = [m for m in MUTANTS if parser.parse_args().k in m.name]
+    for m in mutants:
+        count = (ROOT / m.path).read_text().count(m.fragment)
+        if count != 1:
+            error(f"{m.name!r}: fragment occurs {count} times in {m.path}")
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as scratch:
+        base = Path(scratch, "base")
+        copy_tree(base)
+        ids = tuple(dict.fromkeys(i for m in mutants for i in m.must_fail))
+        if failing := failed_ids(base, ids):
+            error(f"the unmutated copy fails {sorted(failing)}")
+        survived = 0
+        for n, m in enumerate(mutants):
+            tree = Path(scratch, f"mutant{n}")
+            copy_tree(tree)
+            source = tree / m.path
+            source.write_text(source.read_text().replace(m.fragment, m.replacement))
+            missed = set(m.must_fail) - failed_ids(tree, m.must_fail)
+            survived += bool(missed)
+            print(f"{'survived' if missed else 'caught':8}  {m.name}"
+                  + "".join(f"\n          passed: {i}" for i in sorted(missed)))
+            shutil.rmtree(tree)
+    print(f"{len(mutants) - survived} of {len(mutants)} caught in {time.perf_counter() - start:.0f} s")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,7 +9,6 @@ from wordeq.equations import (
     EquationInstance,
     Exponents,
     _first_occurrence_labels,
-    _least_image,
     _mirror_classes,
     _mirror_is_less,
     _named,
@@ -240,6 +239,39 @@ def test_orbits_match_listed_reference_across_alphabets(monkeypatch, alphabet_si
         assert [inst.words() for inst in report.nonperiodic] == orbits, exps
 
 
+def spy(monkeypatch, name):
+    """Replace ``equations.<name>`` by a wrapper that records each result; return the list."""
+    results = []
+    real = getattr(equations, name)
+
+    def recording(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(equations, name, recording)
+    return results
+
+
+def test_side_swap_is_named_only_when_u_does_not_start_with_x(monkeypatch):
+    # with i >= 1 x is a prefix of u in every solution, so nothing is named;
+    # with i = 0 each candidate whose u does not start with x names its swap once
+    named = spy(monkeypatch, "_named")
+    built = spy(monkeypatch, "_word_tuple")
+    no_swap = [(2, c) for c in MULTIPLE_CASES + ALPHABET_CASES if c[0][0] >= 1]
+    no_swap += [(3, c) for c in EMPTY_MIRROR_CASES]
+    for alphabet_size, (exps, bound, distinct_only, allow_empty) in no_swap:
+        built.clear()
+        enumerate_solutions(exps, alphabet_size, bound,
+                            distinct_only=distinct_only, allow_empty=allow_empty)
+        assert built and not named, exps
+    for exps, bound, allow_empty in [((0, 1, 1), 10, True), ((0, 1, 2), 12, False)]:
+        built.clear()
+        enumerate_solutions(exps, 2, bound, allow_empty=allow_empty)
+        expected = sum(not u.startswith(x) for x, _, u, _ in built)
+        assert 0 < len(named) == expected < len(built), exps
+        named.clear()
+
+
 def test_counting_pins_1_2_1_at_alphabet_26():
     # counted, not listed: listing these solutions takes minutes and about 1 GB
     report = enumerate_solutions((1, 2, 1), 26, 16)
@@ -390,8 +422,8 @@ def test_residue_rule_agrees_with_the_periodicity_classifier(case, alphabet_size
 @settings(max_examples=60, deadline=None)
 @given(nonperiodic_tuples(), st.sampled_from([2, 3]))
 def test_growth_string_candidates_are_already_named(case, alphabet_size):
-    # enumerate_solutions relabels only the side swap and mirrors of a
-    # candidate, so the candidate itself must read a, b, c, ... in order
+    # enumerate_solutions keeps a candidate's word tuple as built and names
+    # at most its side swap, so the candidate itself must read a, b, c, ...
     exps, t = case
     count, label = scaled_classes(exps, t)
     a, b, c = t[0], t[0] + t[1], t[0] + t[1] + t[2]
@@ -422,30 +454,48 @@ def mirror(words):
 
 @settings(max_examples=60, deadline=None)
 @given(nonperiodic_tuples(), st.sampled_from([2, 3]))
-def test_side_swap_never_wins_when_i_is_positive(case, alphabet_size):
-    # enumerate_solutions names no side swap when i >= 1: off the
-    # diagonal x is a proper prefix of u, and with k >= 1 a proper suffix
+def test_side_swap_never_wins_when_x_is_a_prefix_of_u(case, alphabet_size):
+    # enumerate_solutions names a candidate's side swap only when u does
+    # not start with x; with i >= 1 x always starts u, and with i == k it
+    # also ends u, so no mirrored swap wins either
     exps, t = case
     t = walk_orientation(t)
-    assume(exps.i >= 1 and t[0] < t[2])
     for _, words in candidates(exps, t, alphabet_size):
+        x, _, u, _ = words
+        assert exps.i == 0 or u.startswith(x), (exps, t, words)
+        if not u.startswith(x):
+            continue
         swap = words[2:] + words[:2]
+        if swap == words:
+            continue  # the diagonal, |u| = |x|: u = x and v = y
         assert naive_least_relabelling([swap], alphabet_size) > words, (exps, t, words)
         if exps.i == exps.k:
             named_mirror = naive_least_relabelling([mirror(words)], alphabet_size)
             assert naive_least_relabelling([mirror(swap)], alphabet_size) > named_mirror
 
 
+def test_side_swap_loses_when_i_is_0_and_x_is_a_prefix_of_u():
+    # with i = 0 the prefix test still decides: here u starts with x, so
+    # the candidate is its orbit's least image and its swap is not named
+    exps = Exponents(0, 1, 1)
+    words = ("a", "ba", "aa", "b")
+    inst = EquationInstance(exps, *words)
+    assert check(inst) and not is_periodic_solution(inst)
+    assert _named(words[2:] + words[:2]) == ("aa", "b", "a", "ba") > words
+    assert canonical_instance(inst, 2).words() == words == naive_orbit_minimum(exps, words, 2)
+    assert inst in enumerate_solutions(exps, 2, 3).nonperiodic
+
+
 def test_side_swap_can_win_when_i_is_0():
     # |x| < |u| here too, but x is a suffix of u, not a prefix: with i = 0
-    # _least_image must still name the swap
+    # the swap must still be named
     exps = Exponents(0, 1, 1)
     words = ("ab", "aa", "aab", "a")
     inst = EquationInstance(exps, *words)
     assert check(inst) and not is_periodic_solution(inst)
     swap = _named(words[2:] + words[:2])
     assert swap == ("aab", "a", "ab", "aa") < words
-    assert _least_image(exps, words) == swap == naive_orbit_minimum(exps, words, 2)
+    assert canonical_instance(inst, 2).words() == swap == naive_orbit_minimum(exps, words, 2)
     assert EquationInstance(exps, *swap) in enumerate_solutions(exps, 2, 6).nonperiodic
 
 
@@ -588,9 +638,9 @@ def test_canonical_instance_matches_brute_force_orbit(exps, alphabet_size, bound
        st.lists(st.text("abc", max_size=4), min_size=4, max_size=4))
 @example((1, 1, 1), ["ab", "a", "abb", "b"])  # x a prefix, not a suffix, of u: the mirrored swap wins
 def test_canonical_instance_is_orbit_minimum_of_any_tuple(exps, words):
-    # _least_image skips a swap image only when x is a proper prefix (or,
-    # for the mirror, suffix) of u; that must hold for tuples that solve
-    # nothing, where x can be one and not the other
+    # canonical_instance names every image, so it is the orbit minimum of
+    # tuples that solve nothing too, where x can be a prefix of u and not
+    # a suffix
     inst = make(exps, *words)
     assert canonical_instance(inst, 3).words() == naive_orbit_minimum(exps, tuple(words), 3)
 
