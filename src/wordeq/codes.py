@@ -34,7 +34,9 @@ class BinaryCode:
 
     def expand(self, letters: str) -> str:
         """Substitute x and y into a code-letter sequence."""
-        return "".join(self.x if c == "x" else self.y for c in letters)
+        if letters.strip(CODE_LETTERS):
+            raise ValueError(f"code letters must be over {CODE_LETTERS!r}")
+        return letters.translate({ord("x"): self.x, ord("y"): self.y})
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,7 @@ class CodeWord:
     letters: str
 
     def __post_init__(self) -> None:
-        if any(c not in CODE_LETTERS for c in self.letters):
+        if self.letters.strip(CODE_LETTERS):
             raise ValueError(f"code letters must be over {CODE_LETTERS!r}")
 
     @property
@@ -217,15 +219,12 @@ def classify_imprimitive_set(code: BinaryCode, table: list[tuple[str, int]]) -> 
         return ImprimitiveSet(SHAPE_EMPTY, None, ())
     k = len(members[0]) - 1
     found = set(members)
-    if found == _centered_family("x", "y", k):
-        shape = SHAPE_X_CENTERED
-    elif found == _centered_family("y", "x", k):
-        shape = SHAPE_Y_CENTERED
-    else:
-        raise RuntimeError(
-            f"imprimitive-set shape violation for x={code.x!r} y={code.y!r}: {sorted(found)}"
-        )
-    return ImprimitiveSet(shape, k, tuple(CodeWord(code, c) for c in sorted(members)))
+    for shape, repeated, single in ((SHAPE_X_CENTERED, "x", "y"), (SHAPE_Y_CENTERED, "y", "x")):
+        if found == _centered_family(repeated, single, k):
+            return ImprimitiveSet(shape, k, tuple(CodeWord(code, c) for c in sorted(members)))
+    raise RuntimeError(
+        f"imprimitive-set shape violation for x={code.x!r} y={code.y!r}: {sorted(found)}"
+    )
 
 
 def x_primitive_imprimitive_set(code: BinaryCode, max_code_len: int) -> ImprimitiveSet:
@@ -254,9 +253,7 @@ def classify_x_power(c: CodeWord, i: int) -> PowerShape:
     """
     if i < 2:
         raise ParameterError("exponent must be >= 2")
-    if not c.letters or not is_primitive(c.letters):
-        raise ValueError("not an imprimitive X-primitive word")
-    if exponent(c.expansion) % i != 0:
+    if not c.letters or not is_primitive(c.letters) or exponent(c.expansion) % i:
         raise ValueError("not an imprimitive X-primitive word")
     for single, repeated in (("y", "x"), ("x", "y")):
         if c.letters.count(single) == 1:

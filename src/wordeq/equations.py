@@ -98,10 +98,12 @@ def theorem_applies(exps: Exponents) -> bool:
     return j >= 3 and i + k >= 3 and i >= 1 and k >= 1
 
 
-def _validate_search_args(
-    exps: Exponents, alphabet_size: int, max_total_len: int, shards: int = 1
-) -> str:
-    """Raise ParameterError unless the search parameters are in range; return the letters."""
+def _validate_search_args(exps: Exponents, alphabet_size: int, max_total_len: int,
+                          shards: int = 1, *, allow_empty: bool = False) -> str:
+    """Raise ParameterError unless the search parameters are in range; return the letters.
+
+    The least bound is the shortest common value: i + j + k, or 1 with empty words.
+    """
     i, j, k = exps
     if i < 0 or j < 0 or k < 0:
         raise ParameterError("exponents must be non-negative")
@@ -109,8 +111,9 @@ def _validate_search_args(
         raise ParameterError(
             "need j >= 1 and i + k >= 1, otherwise one unknown pair is unconstrained")
     letters = alphabet(alphabet_size)
-    if max_total_len < i + j + k:
-        raise ParameterError(f"bound too small: need at least i + j + k = {i + j + k}")
+    if max_total_len < (1 if allow_empty else i + j + k):
+        need = "1 with empty words" if allow_empty else f"i + j + k = {i + j + k}"
+        raise ParameterError(f"bound too small: need at least {need}")
     if shards < 1:
         raise ParameterError("shards must be >= 1")
     return letters
@@ -242,7 +245,7 @@ def iter_solutions(
     are merged in (x, y, |u|) order.
     """
     exps = Exponents(*exps)
-    letters = _validate_search_args(exps, alphabet_size, max_total_len)
+    letters = _validate_search_args(exps, alphabet_size, max_total_len, allow_empty=allow_empty)
     i, j, k = exps
     lo = 0 if allow_empty else 1
     sides = {n: _sides(exps, n, lo) for n in range(1, max_total_len + 1)}
@@ -423,7 +426,8 @@ def enumerate_solutions(
       representatives are collected in a list, not a set.
     """
     exps = Exponents(*exps)
-    letters = _validate_search_args(exps, alphabet_size, max_total_len, shards)
+    letters = _validate_search_args(exps, alphabet_size, max_total_len, shards,
+                                    allow_empty=allow_empty)
     i, _, k = exps
     lo = 0 if allow_empty else 1
     pairs = combinations if distinct_only else combinations_with_replacement

@@ -313,11 +313,6 @@ def _code_pair_tables(
     its members are met.
     """
     lyndon = lyndon_words(max_code_len)
-    # images[w][g]: w reversed when bit 0 of g is set, a/b swapped when bit 1 is
-    images = {}
-    for w in all_words(max_word_len, alphabet(2)):
-        swapped = w.translate(_AB_SWAP)
-        images[w] = (w, w[::-1], swapped, swapped[::-1])
     pending: dict[tuple[str, str], tuple] = {}
     for x, y in _noncommuting_pairs(max_word_len):
         code = BinaryCode(x, y)
@@ -325,7 +320,10 @@ def _code_pair_tables(
         if shared is None:
             table = imprimitive_table(x, y, lyndon)
             hits = len(imprimitive_in_cross_set(code, max_exp))
-            for g, (gx, gy) in enumerate(zip(images[x], images[y])):
+            sx, sy = x.translate(_AB_SWAP), y.translate(_AB_SWAP)
+            # image g: reversed when bit 0 of g is set, a/b swapped when bit 1 is
+            images = (x, y), (x[::-1], y[::-1]), (sx, sy), (sx[::-1], sy[::-1])
+            for g, (gx, gy) in enumerate(images):
                 pending.setdefault((gx, gy), (table, hits, g & 1, False))
                 pending.setdefault((gy, gx), (table, hits, g & 1, True))
             del pending[(x, y)]

@@ -155,10 +155,8 @@ def power_factors(p: str, length: int) -> set[str]:
     """All distinct factors of the given length of the infinite repetition of p."""
     if length < 0:
         raise ParameterError("length must be >= 0")
-    if length == 0:
-        return {""}
     if not p:
-        return set()  # every power of the empty word is empty
+        return set() if length else {""}  # every power of the empty word is empty
     s = p * (length // len(p) + 2)
     return {s[a:a + length] for a in range(len(p))}
 
@@ -214,8 +212,9 @@ def transfer_decomposition(u: str, z: str, v: str) -> ConjugacyDecomposition:
 
     The seed sigma tau is pinned to the primitive root of u, and sigma
     to the prefix of the root of length |z| mod |root|; this makes the
-    output canonical.  When z is a whole power of the root, sigma is the
-    root itself and tau is empty; when z is empty, sigma is empty.
+    output canonical.  A non-empty z that is a whole power of the root
+    takes the remainder |root|, so sigma is the root itself and tau is
+    empty; an empty z takes 0, so sigma is empty.
 
     >>> transfer_decomposition("ab", "a", "ba")
     ConjugacyDecomposition(sigma='a', tau='b', ell=0, m=1)
@@ -225,8 +224,6 @@ def transfer_decomposition(u: str, z: str, v: str) -> ConjugacyDecomposition:
     root = primitive_root(u)
     m = len(u) // len(root)
     ell, r = divmod(len(z), len(root))
-    if not z:
-        return ConjugacyDecomposition("", root, 0, m)
-    if r == 0:
-        return ConjugacyDecomposition(root, "", ell - 1, m)
+    if z and not r:
+        ell, r = ell - 1, len(root)
     return ConjugacyDecomposition(root[:r], root[r:], ell, m)

@@ -34,10 +34,16 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+CODES = "src/wordeq/codes.py"
 EQUATIONS = "src/wordeq/equations.py"
 ORACLES = "src/wordeq/oracles.py"
+WORDS = "src/wordeq/words.py"
+CODE_TESTS = "tests/test_codes.py::"
 EQ = "tests/test_equations.py::"
 LEMMAS = "tests/test_lemma_oracles.py::"
+WORD_TESTS = "tests/test_words.py::"
+TRANSFER = (WORD_TESTS + "test_transfer_decomposition_examples",
+            LEMMAS + "test_oracle_passes[check_conjugacy_transfer-kwargs4]")
 COUNTS = (LEMMAS + "test_absorption_pass_counts_each_exponent[2]",)
 FRONTS = (LEMMAS + "test_absorbed_words_start_with_their_front[3]",)
 STATEMENTS = (LEMMAS + "test_absorption_pass_checks_each_statement[<lambda>1]",)
@@ -117,6 +123,62 @@ MUTANTS = [
            "for i in range(1, max_exp + 1):\n            power = v * i",
            "for i in range(1, max_exp):\n            power = v * i",
            COUNTS + FRONTS),
+    # the least search bound with empty words
+    Mutant("bound with empty words at least i + j + k", EQUATIONS,
+           "if max_total_len < (1 if allow_empty else i + j + k):", "if max_total_len < i + j + k:",
+           (EQ + "test_bound_below_i_j_k_with_empty_words[1-1-1]",
+            EQ + "test_bound_below_i_j_k_with_empty_words[0-2-1]")),
+    # the overlap period walk and the periodicity lemma's necklace pairs
+    Mutant("overlap walk without the endswith test", ORACLES,
+           "if s.endswith(w):", "if True:",
+           (LEMMAS + "test_overlap_commutation_matches_the_cut_scan[5]",
+            LEMMAS + "test_overlap_walk_meets_each_proper_cut_once",
+            LEMMAS + "test_suite_case_counts_at_knob_5")),
+    Mutant("overlap walk checks one cut only", ORACLES,
+           "cuts = (q,) if 2 * q == n else (q, n - q)", "cuts = (q,)",
+           (LEMMAS + "test_overlap_commutation_matches_the_cut_scan[3]",
+            LEMMAS + "test_overlap_walk_meets_each_proper_cut_once",
+            LEMMAS + "test_overlap_cases_come_from_the_whole_border_chain[<lambda>]")),
+    Mutant("overlap trivial cuts off by one", ORACLES,
+           "rec.cases = 2 * ((2 << max_word_len) - 2)", "rec.cases = 2 * ((2 << max_word_len) - 1)",
+           (LEMMAS + "test_overlap_commutation_matches_the_cut_scan[1]",
+            LEMMAS + "test_suite_case_counts_at_knob_5")),
+    Mutant("periodicity pairs counted one way", ORACLES,
+           "rec.cases += 2 * len(p) * len(q)", "rec.cases += len(p) * len(q)",
+           (LEMMAS + "test_periodicity_lemma_matches_the_pairwise_factor_sets[2]",
+            LEMMAS + "test_suite_case_counts_at_knob_5")),
+    # equivalent under the real power_factors, which never fail a pair;
+    # both stand-ins fail some, so their failure lists tell the orders apart
+    Mutant("periodicity failures in one pair order", ORACLES,
+           "failed += [(p, q), (q, p)]", "failed += [(p, q)]",
+           (LEMMAS + "test_periodicity_lemma_reads_each_factor_set[<lambda>0]",
+            LEMMAS + "test_periodicity_lemma_reads_each_factor_set[<lambda>1]")),
+    # equivalent under the real power_factors: the roots 'a' and 'ab' share
+    # the factor 'a' of length |p|+|q|-2 at every max_root_len >= 2
+    Mutant("periodicity without the sharp flag", ORACLES,
+           "rec.record(sharp,", "rec.record(True,",
+           (LEMMAS + "test_periodicity_lemma_records_an_unmet_sharp_bound",)),
+    # one split per case in the word and code primitives
+    Mutant("transfer: empty z read as a whole power", WORDS,
+           "if z and not r:", "if not r:",
+           TRANSFER),
+    Mutant("transfer: every z read as a whole power", WORDS,
+           "if z and not r:", "if z:",
+           TRANSFER),
+    Mutant("power_factors of the empty root at length 0", WORDS,
+           'set() if length else {""}', "set()",
+           (WORD_TESTS + "test_power_factors_of_the_empty_word",)),
+    Mutant("centred shapes' labels swapped", CODES,
+           '((SHAPE_X_CENTERED, "x", "y"), (SHAPE_Y_CENTERED, "y", "x"))',
+           '((SHAPE_Y_CENTERED, "x", "y"), (SHAPE_X_CENTERED, "y", "x"))',
+           (CODE_TESTS + "test_imprimitive_set_example",
+            CODE_TESTS + "test_imprimitive_set_y_centered_exists")),
+    Mutant("expand reads letters outside xy", CODES,
+           "if letters.strip(CODE_LETTERS):", "if False:",
+           (CODE_TESTS + "test_expand_rejects_letters_outside_xy",)),
+    Mutant("a/b-swapped images with their reversal bits swapped", ORACLES,
+           "(sx, sy), (sx[::-1], sy[::-1])", "(sx[::-1], sy[::-1]), (sx, sy)",
+           (LEMMAS + "test_code_pair_walk_checks_each_table[cyclic-factor]",)),
 ]
 
 

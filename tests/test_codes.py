@@ -39,6 +39,16 @@ def test_code_word_expansion():
         CodeWord(code, "xz")
 
 
+def test_expand_rejects_letters_outside_xy():
+    # a letter other than x is not read as y
+    code = BinaryCode("ab", "a")
+    assert code.expand("") == ""
+    assert code.expand("yxy") == "aaba"
+    for letters in ("xz", "zx", "xzy", "X"):
+        with pytest.raises(ValueError, match="code letters must be over 'xy'"):
+            code.expand(letters)
+
+
 def test_decode_examples():
     code = BinaryCode("ab", "a")
     assert decode("abaab", code).letters == "xyx"

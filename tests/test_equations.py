@@ -99,6 +99,27 @@ def test_search_argument_validation():
         enumerate_solutions((2, 3, 1), 2, 18, shards=0)
 
 
+@pytest.mark.parametrize("exps", [(1, 1, 1), (2, 1, 2), (0, 2, 1), (1, 2, 1)],
+                         ids=lambda e: "-".join(map(str, e)))
+def test_bound_below_i_j_k_with_empty_words(exps):
+    # with empty words the shortest common value has one letter, not i + j + k
+    for bound in range(1, sum(exps)):
+        for distinct_only in (True, False):
+            expected = naive_solutions(exps, 2, bound, distinct_only, allow_empty=True)
+            got = {s.words() for s in iter_solutions(
+                exps, 2, bound, distinct_only=distinct_only, allow_empty=True)}
+            assert got == expected, (bound, distinct_only)
+            report = enumerate_solutions(exps, 2, bound, distinct_only=distinct_only,
+                                         allow_empty=True)
+            total, orbits = listed_report(exps, 2, bound, distinct_only, allow_empty=True)
+            assert report.total_solutions == total == len(expected), (bound, distinct_only)
+            assert [inst.words() for inst in report.nonperiodic] == orbits
+    with pytest.raises(ParameterError, match="need at least 1"):
+        enumerate_solutions(exps, 2, 0, allow_empty=True)
+    with pytest.raises(ParameterError, match="need at least 1"):
+        next(iter_solutions(exps, 2, 0, allow_empty=True))
+
+
 def test_forcing_desk_scale_sample():
     verdict = forcing_verdict((2, 3, 1), 2, 18)
     assert verdict.forced_up_to_bound

@@ -419,6 +419,19 @@ def test_periodicity_lemma_reads_each_factor_set(monkeypatch, wrong):
     assert got.failures == want.failures  # member pairs in the order of a walk over every pair
 
 
+def test_periodicity_lemma_records_an_unmet_sharp_bound(monkeypatch):
+    # up to 4 letters no two necklaces share a letter multiset, so under this
+    # stand-in no pair shares a factor and the sharp bound is the only failure
+    def letter_multiset(p, n):
+        return {"".join(sorted(p)) + str(n)}
+
+    monkeypatch.setattr(oracles, "power_factors", letter_multiset)
+    monkeypatch.setattr(support, "power_factors", letter_multiset)
+    got = check_periodicity_lemma(4)
+    assert got == naive_periodicity_lemma(4)
+    assert got.failures == ("no non-conjugate pair attains a common factor of length |p|+|q|-2",)
+
+
 @pytest.mark.parametrize("max_root_len", [0, 1])
 def test_periodicity_lemma_needs_roots_of_length_two(max_root_len):
     # no pair of roots shorter than 2 can witness the sharp bound

@@ -186,6 +186,7 @@ def test_transfer_decomposition_examples():
     assert transfer_decomposition("ab", "a", "ba") == ConjugacyDecomposition("a", "b", 0, 1)
     assert transfer_decomposition("ab", "ab", "ab") == ConjugacyDecomposition("ab", "", 0, 1)
     assert transfer_decomposition("abab", "a", "baba") == ConjugacyDecomposition("a", "b", 0, 2)
+    assert transfer_decomposition("ab", "", "ab") == ConjugacyDecomposition("", "ab", 0, 1)
 
 
 def test_transfer_decomposition_rejects_non_relations():
