@@ -146,10 +146,13 @@ def _union_positions(exps: Exponents, lx: int, ly: int, lu: int, lv: int) -> tup
         # the smaller index becomes the root
         if p < q:
             parent[q] = p
-            count -= 1
         elif q < p:
             parent[p] = q
-            count -= 1
+        else:
+            continue
+        count -= 1
+        if count == 1:
+            break  # a single tree joins every later pair
     return count, parent
 
 
@@ -242,10 +245,17 @@ def iter_solutions(
     The search takes the sides (|x|, |y|) of all common-value lengths
     within the bound in ascending order, lazily one at a time: the
     length tuples each makes with the sides (|u|, |v|) of its own length
-    are merged in (x, y, |u|) order.
+    are merged in (x, y, |u|) order.  The parameters are checked at the
+    call, before the first solution is asked for.
     """
     exps = Exponents(*exps)
     letters = _validate_search_args(exps, alphabet_size, max_total_len, allow_empty=allow_empty)
+    return _solutions(exps, letters, max_total_len, distinct_only, allow_empty)
+
+
+def _solutions(exps: Exponents, letters: str, max_total_len: int, distinct_only: bool,
+               allow_empty: bool) -> Iterator[EquationInstance]:
+    """The generator behind ``iter_solutions``, given parameters already checked."""
     i, j, k = exps
     lo = 0 if allow_empty else 1
     sides = {n: _sides(exps, n, lo) for n in range(1, max_total_len + 1)}

@@ -487,37 +487,67 @@ def check_short_prefix_absorption(max_word_len: int = 4, max_exp: int = 3) -> Or
 
 
 def _factor_pair_checks(max_v_len: int, max_exp: int) -> list[OracleResult]:
-    """The three oracles on pairs of equal factors of v^i, in one scan.
+    """The three oracles on pairs of equal factors of v^i, each statement decided once per key.
 
-    The starts of each factor u of s = v^i with |u| >= |v| are grouped by
-    u.  Every ordered pair (a, b) of starts in a group is a straddling
-    case: s[:a] u is a prefix and u s[b+|u|:] a suffix of s, the latter
-    described by its distance n - b - |u| from the end.  Pairs with
-    a <= b compare the fronts s[:a] and s[:b].  Pairs with a >= b compare
-    the tails after the two occurrences, which are the reversed fronts of
-    (v reversed)^i, so their descriptions give the reversed positions.
+    A case is a factor length |u| >= m = |v| and two starts a, b of equal
+    factors u of s = v^i, n = |s|.  Since s has period m, two factors of
+    length |u| >= m are equal iff their first m letters are, so the
+    starts are grouped by their m-letter window: a pair (a, b) with equal
+    windows is a case for every |u| from m to n - max(a, b).  Each
+    statement reads only one key of a case, decides it once and adds its
+    cases in closed form:
+
+    - aligned-prefix compares the fronts s[:a] and s[:b], so its key is
+      the start pair with a <= b: n - b - m + 1 cases;
+    - straddling tests s[:A] s[B:] and aligned-suffix the tails after
+      the ends (A, B) = (a + |u|, b + |u|).  By the same period argument
+      read from the right, the end pairs are the equal-window start
+      pairs shifted by m, and each is a case for every |u| from m to
+      min(A, B): all of them for straddling, those with A >= B for
+      aligned-suffix.  The suffix descriptions give the positions n - A
+      and n - B counted from the end.
+
+    A failing key is expanded into its cases.  Within each (v, i) they
+    are kept in the order of a walk over |u|, then over the groups by
+    first start, then over a, then over b.
     """
     straddling, prefix, suffix = _Recorder(), _Recorder(), _Recorder()
     for v in all_words(max_v_len, alphabet(2)):
+        m = len(v)
         for i in range(1, max_exp + 1):
             s = v * i
             n = len(s)
-            for lu in range(len(v), n + 1):
-                spots: dict[str, list[int]] = {}
-                for a in range(n - lu + 1):
-                    spots.setdefault(s[a:a + lu], []).append(a)
-                for starts in spots.values():
-                    for a in starts:
-                        for b in starts:
-                            straddling.record(commutes(s[:a + lu] + s[b + lu:], v),
-                                              "v=%r i=%d a=%d |u|=%d b=%d", v, i, a, lu, n - b - lu)
-                            if a <= b:
-                                ok = s[:b].endswith(s[:a]) and commutes(s[:b - a], v)
-                                prefix.record(ok, "v=%r i=%d |u|=%d a=%d b=%d", v, i, lu, a, b)
-                            if a >= b:
-                                ok = s[b + lu:].startswith(s[a + lu:]) and commutes(s[n - (a - b):], v)
-                                suffix.record(ok, "v=%r i=%d |u|=%d a=%d b=%d",
-                                              v, i, lu, n - a - lu, n - b - lu)
+            groups: dict[str, list[int]] = {}
+            for a in range(n - m + 1):
+                groups.setdefault(s[a:a + m], []).append(a)
+            # failing cases as (|u|, a, b, description arguments)
+            failed_straddling, failed_prefix, failed_suffix = [], [], []
+            for starts in groups.values():
+                for a in starts:
+                    for b in starts:
+                        A, B = a + m, b + m
+                        straddling.cases += min(A, B) - m + 1
+                        if not commutes(s[:A] + s[B:], v):
+                            failed_straddling += [(lu, A - lu, B - lu, (v, i, A - lu, lu, n - B))
+                                                  for lu in range(m, min(A, B) + 1)]
+                        if a <= b:
+                            prefix.cases += n - b - m + 1
+                            if not (s[:b].endswith(s[:a]) and commutes(s[:b - a], v)):
+                                failed_prefix += [(lu, a, b, (v, i, lu, a, b))
+                                                  for lu in range(m, n - b + 1)]
+                        if A >= B:
+                            suffix.cases += B - m + 1
+                            if not (s[B:].startswith(s[A:]) and commutes(s[n - (A - B):], v)):
+                                failed_suffix += [(lu, A - lu, B - lu, (v, i, lu, n - A, n - B))
+                                                  for lu in range(m, B + 1)]
+            if failed_straddling or failed_prefix or failed_suffix:
+                first = {a: starts[0] for starts in groups.values() for a in starts}
+                for rec, failed, fmt in (
+                        (straddling, failed_straddling, "v=%r i=%d a=%d |u|=%d b=%d"),
+                        (prefix, failed_prefix, "v=%r i=%d |u|=%d a=%d b=%d"),
+                        (suffix, failed_suffix, "v=%r i=%d |u|=%d a=%d b=%d")):
+                    for *_, args in sorted((lu, first[a], a, b, args) for lu, a, b, args in failed):
+                        rec.tally(1, fmt, *args)
     return [straddling.result("straddling-factor-commutation"),
             prefix.result("aligned-prefix-difference"), suffix.result("aligned-suffix-difference")]
 

@@ -47,6 +47,11 @@ TRANSFER = (WORD_TESTS + "test_transfer_decomposition_examples",
 COUNTS = (LEMMAS + "test_absorption_pass_counts_each_exponent[2]",)
 FRONTS = (LEMMAS + "test_absorbed_words_start_with_their_front[3]",)
 STATEMENTS = (LEMMAS + "test_absorption_pass_checks_each_statement[<lambda>1]",)
+FACTOR_COUNTS = (LEMMAS + "test_suite_case_counts_at_knob_5",
+                 LEMMAS + "test_power_factor_passes_match_the_separate_scans[3-3]",
+                 LEMMAS + "test_factor_pair_pass_keeps_the_grouped_walks_failures[<lambda>3-4-3-default]")
+FACTOR_ORDER = (LEMMAS + "test_factor_pair_pass_keeps_the_grouped_walks_failures[<lambda>0-4-3-all]",
+                LEMMAS + "test_factor_pair_pass_keeps_the_grouped_walks_failures[<lambda>3-5-4-all]")
 
 
 class Mutant(NamedTuple):
@@ -123,6 +128,28 @@ MUTANTS = [
            "for i in range(1, max_exp + 1):\n            power = v * i",
            "for i in range(1, max_exp):\n            power = v * i",
            COUNTS + FRONTS),
+    # the factor-pair keys and their closed-form case counts
+    Mutant("aligned-prefix count one short per key", ORACLES,
+           "prefix.cases += n - b - m + 1", "prefix.cases += n - b - m",
+           FACTOR_COUNTS),
+    Mutant("aligned-prefix without the diagonal keys", ORACLES,
+           "if a <= b:", "if a < b:",
+           FACTOR_COUNTS),
+    Mutant("aligned-suffix without the diagonal keys", ORACLES,
+           "if A >= B:", "if A > B:",
+           FACTOR_COUNTS),
+    Mutant("straddling counted to the later end", ORACLES,
+           "straddling.cases += min(A, B) - m + 1", "straddling.cases += max(A, B) - m + 1",
+           FACTOR_COUNTS),
+    # equivalent under the real commutes, which fails no key
+    Mutant("factor-pair failures sorted without the group's first start", ORACLES,
+           "sorted((lu, first[a], a, b, args)", "sorted((lu, a, b, args)",
+           FACTOR_ORDER),
+    # not listed, equivalent: dropping the early exit "if count == 1: break"
+    # from _union_positions.  Once one tree holds every position, both ends
+    # of each later pair find the root 0, so no union happens and the path
+    # compression keeps parent[p] <= p: the count and the first-occurrence
+    # labels are the same, and only the time differs.
     # the least search bound with empty words
     Mutant("bound with empty words at least i + j + k", EQUATIONS,
            "if max_total_len < (1 if allow_empty else i + j + k):", "if max_total_len < i + j + k:",

@@ -278,6 +278,41 @@ def naive_factor_pair_checks(max_v_len: int, max_exp: int):
             _naive_aligned_difference(max_v_len, max_exp, mirror=True)]
 
 
+def grouped_factor_pair_checks(max_v_len: int, max_exp: int):
+    """The three factor-pair oracles in one walk over every case, in the library's order.
+
+    For each |u| >= |v| the starts of the factors u of s = v^i are
+    grouped by u, groups in order of first start, and every ordered pair
+    (a, b) of starts in a group is read: straddling always, the prefix
+    statement when a <= b, the suffix statement when a >= b.  Each case
+    is decided on its own, so the failures come out in the order of the
+    walk over |u|, then groups, then a, then b.
+    """
+    straddling, prefix, suffix = _Recorder(), _Recorder(), _Recorder()
+    for v in all_words(max_v_len, alphabet(2)):
+        for i in range(1, max_exp + 1):
+            s = v * i
+            n = len(s)
+            for lu in range(len(v), n + 1):
+                spots: dict[str, list[int]] = {}
+                for a in range(n - lu + 1):
+                    spots.setdefault(s[a:a + lu], []).append(a)
+                for starts in spots.values():
+                    for a in starts:
+                        for b in starts:
+                            straddling.record(commutes(s[:a + lu] + s[b + lu:], v),
+                                              "v=%r i=%d a=%d |u|=%d b=%d", v, i, a, lu, n - b - lu)
+                            if a <= b:
+                                ok = s[:b].endswith(s[:a]) and commutes(s[:b - a], v)
+                                prefix.record(ok, "v=%r i=%d |u|=%d a=%d b=%d", v, i, lu, a, b)
+                            if a >= b:
+                                ok = s[b + lu:].startswith(s[a + lu:]) and commutes(s[n - (a - b):], v)
+                                suffix.record(ok, "v=%r i=%d |u|=%d a=%d b=%d",
+                                              v, i, lu, n - a - lu, n - b - lu)
+    return [straddling.result("straddling-factor-commutation"),
+            prefix.result("aligned-prefix-difference"), suffix.result("aligned-suffix-difference")]
+
+
 def naive_head_clashes(x: str, y: str, limit: int, code_len: int) -> int:
     """Pairs (x t, y t') of code words whose expansions agree on their first ``limit`` letters.
 

@@ -8,6 +8,7 @@ from wordeq import equations
 from wordeq.equations import (
     EquationInstance,
     Exponents,
+    SolutionReport,
     _first_occurrence_labels,
     _mirror_classes,
     _mirror_is_less,
@@ -118,6 +119,21 @@ def test_bound_below_i_j_k_with_empty_words(exps):
         enumerate_solutions(exps, 2, 0, allow_empty=True)
     with pytest.raises(ParameterError, match="need at least 1"):
         next(iter_solutions(exps, 2, 0, allow_empty=True))
+
+
+def test_iter_solutions_checks_its_parameters_at_the_call():
+    # the call itself raises, before any solution is asked for; a
+    # report's solutions property re-runs the same search the same way
+    with pytest.raises(ParameterError, match="need at least 1"):
+        iter_solutions((1, 1, 1), 2, 0, allow_empty=True)
+    with pytest.raises(ParameterError, match="i \\+ j \\+ k = 3"):
+        iter_solutions((1, 1, 1), 2, 2)
+    with pytest.raises(ParameterError):
+        iter_solutions((1, 0, 1), 2, 5)
+    report = enumerate_solutions((1, 1, 1), 2, 3)
+    with pytest.raises(ParameterError):
+        SolutionReport(report.exps, report.alphabet_size, 0, report.total_solutions,
+                       report.nonperiodic, report.distinct_only, report.allow_empty).solutions
 
 
 def test_forcing_desk_scale_sample():

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from wordeq import codes, oracles
@@ -30,6 +32,7 @@ from wordeq.oracles import (
 )
 import support
 from support import (
+    grouped_factor_pair_checks,
     naive_absorption_checks,
     naive_code_bounds,
     naive_code_pair_tables,
@@ -241,11 +244,14 @@ def _assert_same_verdicts(got, want):
 
 # wrong commutation tests that depend only on lengths and letter counts,
 # so they answer reversed words as the mirrored reference scan expects
-@pytest.mark.parametrize("wrong", [
+WRONG_COMMUTES = [
     lambda x, y: len(x) % 2 == 0,
     lambda x, y: x.count("a") <= y.count("a"),
     lambda x, y: len(x) != len(y),
-])
+]
+
+
+@pytest.mark.parametrize("wrong", WRONG_COMMUTES)
 def test_factor_pair_pass_checks_each_statement(monkeypatch, wrong):
     # with every failure kept, a broken commutation test must fail each
     # oracle on exactly the cases where its own statement reads it
@@ -253,6 +259,50 @@ def test_factor_pair_pass_checks_each_statement(monkeypatch, wrong):
     monkeypatch.setattr(oracles, "commutes", wrong)
     monkeypatch.setattr(support, "commutes", wrong)
     _assert_same_verdicts(oracles._factor_pair_checks(4, 3), naive_factor_pair_checks(4, 3))
+
+
+@pytest.mark.parametrize("kept", [oracles.MAX_RECORDED_FAILURES, 10 ** 9], ids=["default", "all"])
+@pytest.mark.parametrize("max_v_len, max_exp", [(3, 3), (4, 3), (5, 4)])
+@pytest.mark.parametrize("wrong", [*WRONG_COMMUTES, lambda x, y: x[:1] != "b"])
+def test_factor_pair_pass_keeps_the_grouped_walks_failures(monkeypatch, wrong, max_v_len, max_exp,
+                                                           kept):
+    # a failing key stands for all its |u| cases: the pass must keep the
+    # same failures, in the same order, as the walk over every case
+    monkeypatch.setattr(oracles, "MAX_RECORDED_FAILURES", kept)
+    monkeypatch.setattr(oracles, "commutes", wrong)
+    monkeypatch.setattr(support, "commutes", wrong)
+    got = oracles._factor_pair_checks(max_v_len, max_exp)
+    assert got == grouped_factor_pair_checks(max_v_len, max_exp)
+    assert all(min(kept, 3) <= len(r.failures) < r.cases for r in got)
+
+
+@pytest.mark.parametrize("max_exp", [1, 2, 3])
+def test_factor_pair_pass_decides_each_key_once(monkeypatch, max_exp):
+    # per (v, i), commutes is called once for each ordered pair of starts
+    # with equal |v|-letter windows (straddling, on its end pair) and once
+    # more for each such pair with a <= b (prefix) and with a >= b
+    # (suffix), whose front and tail hypotheses always hold: 2 P + D
+    # calls for P pairs, D of them on the diagonal, and none per |u|
+    def calls_per_v(top_exp):
+        calls = Counter()
+
+        def spy(x, y):
+            calls[y] += 1
+            return commutes(x, y)
+
+        monkeypatch.setattr(oracles, "commutes", spy)
+        oracles._factor_pair_checks(4, top_exp)
+        return calls
+
+    got = calls_per_v(max_exp)
+    got.subtract(calls_per_v(max_exp - 1))
+    want = Counter()
+    for v in support.words_up_to(4):
+        s, m = v * max_exp, len(v)
+        starts = range(len(s) - m + 1)
+        pairs = sum(s[a:a + m] == s[b:b + m] for a in starts for b in starts)
+        want[v] = 2 * pairs + len(starts)
+    assert got == want
 
 
 @pytest.mark.parametrize("wrong", [lambda w: w, lambda w: w[:1], lambda w: w[::-1]])
