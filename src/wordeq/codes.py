@@ -8,6 +8,7 @@ represented by their code-letter sequence, a string over "xy".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterator
 
 from .words import ParameterError, all_words, commutes, exponent, is_primitive
@@ -179,21 +180,43 @@ def code_order(entry: tuple[str, int]) -> tuple[int, str]:
     return len(entry[0]), entry[0]
 
 
-def imprimitive_table(x: str, y: str, lyndon: list[str]) -> list[tuple[str, int]]:
-    """imprimitive_code_words of the code {x, y}, given lyndon_words(max_code_len).
+def letter_count_groups(lyndon: list[str]) -> list[tuple[int, int, list[str]]]:
+    """The words of ``lyndon`` as (p, q, words): those with p x's and q y's, in first-met order.
+
+    >>> letter_count_groups(["x", "xxy", "xy", "xyy", "y"])
+    [(1, 0, ['x']), (2, 1, ['xxy']), (1, 1, ['xy']), (1, 2, ['xyy']), (0, 1, ['y'])]
+    """
+    groups: dict[tuple[int, int], list[str]] = {}
+    for w in lyndon:
+        groups.setdefault((w.count("x"), w.count("y")), []).append(w)
+    return [(p, q, words) for (p, q), words in groups.items()]
+
+
+def imprimitive_table(x: str, y: str, groups: list[tuple[int, int, list[str]]]) -> list[tuple[str, int]]:
+    """imprimitive_code_words of the code {x, y}, given letter_count_groups(lyndon_words(max_code_len)).
 
     Rotating a code word by one code letter rotates its expansion, and a
     conjugate of an m-th power is an m-th power.  The code-primitive
     words are the rotations of the Lyndon words, each necklace of n
     letters having n of them, so one expansion per necklace decides all
-    of its words.
+    of its words.  An m-th power has a length and letter counts that m
+    divides.  A word with p x's and q y's expands to p |x| + q |y|
+    letters, p #c(x) + q #c(y) of them the first letter c of x, so a
+    group where these two numbers have gcd 1 holds no power and is
+    skipped whole.  Over two letters that is the gcd of the two letter
+    counts.
     """
     subst = {ord("x"): x, ord("y"): y}
+    c = x[0]
+    cx, cy, nx, ny = x.count(c), y.count(c), len(x), len(y)
     found = []
-    for w in lyndon:
-        m = exponent(w.translate(subst))
-        if m > 1:
-            found.extend((w[r:] + w[:r], m) for r in range(len(w)))
+    for p, q, words in groups:
+        if gcd(p * cx + q * cy, p * nx + q * ny) == 1:
+            continue
+        for w in words:
+            m = exponent(w.translate(subst))
+            if m > 1:
+                found.extend((w[r:] + w[:r], m) for r in range(len(w)))
     found.sort(key=code_order)
     return found
 
@@ -203,7 +226,7 @@ def imprimitive_code_words(code: BinaryCode, max_code_len: int) -> list[tuple[st
 
     Returns (letters, exponent of the expansion) in code_words order.
     """
-    return imprimitive_table(code.x, code.y, lyndon_words(max_code_len))
+    return imprimitive_table(code.x, code.y, letter_count_groups(lyndon_words(max_code_len)))
 
 
 def classify_imprimitive_set(code: BinaryCode, table: list[tuple[str, int]]) -> ImprimitiveSet:

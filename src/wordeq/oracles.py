@@ -2,7 +2,10 @@
 
 Each check asserts the lemma's conclusion verbatim on every input
 within its bound, counting some cases in closed form or by symmetry,
-each way proven equal to the enumeration.  The checks are universally
+each way proven equal to the enumeration.  The largest pass, the walk
+over code pairs, checks one member of each symmetry class of codes
+when that member fails nothing, and expands only the code words whose
+letter counts leave room for a power.  The checks are universally
 quantified statements, so shrinking a bound can only shrink the case
 count, never flip a verdict.  ``run_lemma_suite`` runs all fourteen with
 bounds derived from a single size knob whose default reproduces the
@@ -22,6 +25,7 @@ from .codes import (
     code_order,
     imprimitive_in_cross_set,
     imprimitive_table,
+    letter_count_groups,
     lyndon_words,
 )
 from .words import (
@@ -61,7 +65,7 @@ class OracleResult:
 
 
 class _Recorder:
-    """Counts cases and keeps the first failures.
+    """Counts cases and failures, and keeps the first MAX_RECORDED_FAILURES failures.
 
     A description is a format string and its arguments, joined with
     ``%`` only when a failure is kept, so passing cases cost no string
@@ -71,15 +75,19 @@ class _Recorder:
 
     def __init__(self) -> None:
         self.cases = 0
+        self.failed = 0
         self.failures: list[str] = []
 
     def record(self, ok: bool, fmt: str, *args: object) -> None:
         self.cases += 1
-        if not ok and len(self.failures) < MAX_RECORDED_FAILURES:
-            self.failures.append(fmt % args)
+        if not ok:
+            self.failed += 1
+            if len(self.failures) < MAX_RECORDED_FAILURES:
+                self.failures.append(fmt % args)
 
     def tally(self, failed: int, fmt: str, *args: object) -> None:
         """Keep ``failed`` failures with one description; their cases are counted apart."""
+        self.failed += failed
         kept = min(failed, MAX_RECORDED_FAILURES - len(self.failures))
         if kept > 0:
             self.failures.extend([fmt % args] * kept)
@@ -296,45 +304,119 @@ _AB_SWAP = str.maketrans("ab", "ba")
 _XY_SWAP = str.maketrans("xy", "yx")
 
 
+class _SymmetryClass:
+    """Codes that the three symmetries of _code_pair_tables map onto one another.
+
+    ``table`` and ``hits`` are those of the first member met.  ``counts``
+    is None until that member is checked, then the case counts it added
+    to the four recorders if it failed nothing, else ().
+    """
+
+    __slots__ = ("table", "hits", "counts")
+
+    def __init__(self, table: list[tuple[str, int]], hits: int) -> None:
+        self.table = table
+        self.hits = hits
+        self.counts: tuple[int, ...] | None = None
+
+
+def _image_table(table: list[tuple[str, int]], image: tuple[int, bool]) -> list[tuple[str, int]]:
+    """A member's table from its class's: code words reversed and/or x and y swapped, re-sorted."""
+    reverse, swap = image
+    if not (reverse or swap):
+        return table
+    step = -1 if reverse else 1
+    letter_map = _XY_SWAP if swap else {}
+    return sorted(((letters[::step].translate(letter_map), m) for letters, m in table), key=code_order)
+
+
 def _code_pair_tables(
     max_word_len: int, max_exp: int, max_code_len: int
-) -> Iterator[tuple[BinaryCode, list[tuple[str, int]], int]]:
-    """Each code pair with its imprimitive_code_words table and cross-set hit count.
+) -> Iterator[tuple[str, str, _SymmetryClass, tuple[int, bool]]]:
+    """Each code pair (x, y) with its symmetry class and its image of the class's first member.
 
-    The pairs come in _noncommuting_pairs order.  The hit count is
-    len(imprimitive_in_cross_set(code, max_exp)).
+    The pairs come in _noncommuting_pairs order.  The image (reverse,
+    swap) gives the pair's imprimitive_code_words table as
+    _image_table(cls.table, image); cls.hits is
+    len(imprimitive_in_cross_set(code, max_exp)) for every member.
     Three symmetries map one code's table onto another's: swapping
     the letters a and b keeps it, reversing x and y reverses each of its
     code-letter words, and swapping x and y swaps their letters.  None
     moves the count, since each cross-set word lands on a conjugate of a
     cross-set word.  So the first pair met of each class of up to eight
-    builds the table and the count, and every other member reads them
-    with its letters mapped and re-sorted.  A class is dropped once all
-    its members are met.
+    builds the table and the count, from the Lyndon words grouped by
+    their letter counts once per walk.  A class is dropped once all its
+    members are met.
     """
-    lyndon = lyndon_words(max_code_len)
-    pending: dict[tuple[str, str], tuple] = {}
+    groups = letter_count_groups(lyndon_words(max_code_len))
+    pending: dict[tuple[str, str], tuple[_SymmetryClass, tuple[int, bool]]] = {}
     for x, y in _noncommuting_pairs(max_word_len):
-        code = BinaryCode(x, y)
-        shared = pending.pop((x, y), None)
-        if shared is None:
-            table = imprimitive_table(x, y, lyndon)
-            hits = len(imprimitive_in_cross_set(code, max_exp))
+        member = pending.pop((x, y), None)
+        if member is None:
+            hits = len(imprimitive_in_cross_set(BinaryCode(x, y), max_exp))
+            cls = _SymmetryClass(imprimitive_table(x, y, groups), hits)
             sx, sy = x.translate(_AB_SWAP), y.translate(_AB_SWAP)
             # image g: reversed when bit 0 of g is set, a/b swapped when bit 1 is
             images = (x, y), (x[::-1], y[::-1]), (sx, sy), (sx[::-1], sy[::-1])
             for g, (gx, gy) in enumerate(images):
-                pending.setdefault((gx, gy), (table, hits, g & 1, False))
-                pending.setdefault((gy, gx), (table, hits, g & 1, True))
-            del pending[(x, y)]
-        else:
-            table, hits, reverse, swap = shared
-            if reverse or swap:
-                step = -1 if reverse else 1
-                letter_map = _XY_SWAP if swap else {}
-                table = sorted(((letters[::step].translate(letter_map), m) for letters, m in table),
-                               key=code_order)
-        yield code, table, hits
+                pending.setdefault((gx, gy), (cls, (g & 1, False)))
+                pending.setdefault((gy, gx), (cls, (g & 1, True)))
+            member = pending.pop((x, y))
+        yield x, y, *member
+
+
+def _check_code(
+    code: BinaryCode, table: list[tuple[str, int]], hits: int, max_exp: int,
+    cross: _Recorder, conjugacy: _Recorder, set_shape: _Recorder, power_shape: _Recorder,
+) -> None:
+    """The four checks on one code, given its table and cross-set hit count."""
+    x, y = code.x, code.y
+    if hits <= 1:
+        cross.cases += 1
+    else:
+        own = [c.letters for c in imprimitive_in_cross_set(code, max_exp)]
+        cross.record(False, "x=%r y=%r: %s", x, y, own)
+    for letters, e in table:
+        n = len(letters)
+        in_cross = are_conjugate(letters, "x" * (n - 1) + "y") or are_conjugate(
+            letters, "y" * (n - 1) + "x"
+        )
+        conjugacy.record(in_cross, "x=%r y=%r: %s not conjugate into the cross set", x, y, letters)
+        c = CodeWord(code, letters)
+        for i in range(2, e + 1):
+            if e % i:
+                continue
+            try:
+                shape = classify_x_power(c, i)
+            except RuntimeError as err:
+                power_shape.record(False, "%s", err)
+                continue
+            single = "y" if shape.repeated == "x" else "x"
+            rebuilt = shape.repeated * shape.k + single + shape.repeated * shape.ell
+            power_shape.record(rebuilt == letters, "x=%r y=%r: %s vs %s", x, y, letters, shape)
+    if any(len(letters) >= 2 for letters, _ in table):
+        roots_apart = not are_conjugate(primitive_root(x), primitive_root(y))
+        conjugacy.record(roots_apart, "x=%r y=%r: roots conjugate despite a member", x, y)
+    try:
+        result = classify_imprimitive_set(code, table)
+    except RuntimeError as err:
+        set_shape.record(False, "%s", err)
+        return
+    if result.shape == "empty":
+        ok = result.k is None and not result.members
+    else:
+        repeated, single = ("x", "y") if result.shape == "x-centered" else ("y", "x")
+        k = result.k or 0
+        expected = {repeated * i + single + repeated * (k - i) for i in range(k + 1)}
+        ok = k >= 1 and {c.letters for c in result.members} == expected
+    if ok:
+        set_shape.cases += 1
+    else:
+        set_shape.record(False, "x=%r y=%r: %s", x, y, result.to_json_obj())
+
+
+def _failed(recorders: tuple[_Recorder, ...]) -> int:
+    return sum(rec.failed for rec in recorders)
 
 
 def _code_pair_checks(max_word_len: int, max_exp: int, max_code_len: int) -> list[OracleResult]:
@@ -343,55 +425,46 @@ def _code_pair_checks(max_word_len: int, max_exp: int, max_code_len: int) -> lis
     Each code's table of code-primitive words with imprimitive expansions
     is read by the three code-word oracles: conjugacy into the cross set,
     the centered shape of the set, and the power shape of each member.
-    max_code_len 0 leaves every table empty.  The per-code checks run on
-    every code; a cross-set count above one lists that code's own hits
-    for its failure description.
+    max_code_len 0 leaves every table empty.  A cross-set count above
+    one lists that code's own hits for its failure description.
+
+    The four checks run on the first member of each symmetry class.  If
+    it fails nothing, every later member adds the same case counts and
+    is not checked: a member's table is the first one's with each code
+    word w mapped to its image w' (reversed and/or x and y swapped), so
+    the cases, one per entry and per divisor of its exponent, match,
+    and each verdict does too:
+
+    - the cross set's conjugacy classes, those of x^(n-1) y and
+      y^(n-1) x, are closed under reversal and under the x/y swap, so w
+      is conjugate into the cross set iff w' is; the a/b swap and
+      reversal keep the roots of x and y conjugate or not, and the x/y
+      swap only exchanges them;
+    - w = r^k s r^ell maps to r^ell s r^k or to the shape with r and s
+      swapped, so the power shape rebuilds w iff it rebuilds w', and w
+      has a single odd letter iff w' has;
+    - the centered family of size k maps onto a centered family of size
+      k, so the set has a centered shape on every member or on none;
+    - the cross-set count is the class's.
+
+    A class whose first member fails anything is checked member by
+    member in walk order, so the failure texts and their order are
+    those of a walk that checks every code.  Failures are counted apart
+    from the MAX_RECORDED_FAILURES kept.
     """
-    cross, conjugacy, set_shape, power_shape = _Recorder(), _Recorder(), _Recorder(), _Recorder()
-    for code, table, hits in _code_pair_tables(max_word_len, max_exp, max_code_len):
-        x, y = code.x, code.y
-        if hits <= 1:
-            cross.cases += 1
-        else:
-            own = [c.letters for c in imprimitive_in_cross_set(code, max_exp)]
-            cross.record(False, "x=%r y=%r: %s", x, y, own)
-        for letters, e in table:
-            n = len(letters)
-            in_cross = are_conjugate(letters, "x" * (n - 1) + "y") or are_conjugate(
-                letters, "y" * (n - 1) + "x"
-            )
-            conjugacy.record(in_cross, "x=%r y=%r: %s not conjugate into the cross set", x, y, letters)
-            c = CodeWord(code, letters)
-            for i in range(2, e + 1):
-                if e % i:
-                    continue
-                try:
-                    shape = classify_x_power(c, i)
-                except RuntimeError as err:
-                    power_shape.record(False, "%s", err)
-                    continue
-                single = "y" if shape.repeated == "x" else "x"
-                rebuilt = shape.repeated * shape.k + single + shape.repeated * shape.ell
-                power_shape.record(rebuilt == letters, "x=%r y=%r: %s vs %s", x, y, letters, shape)
-        if any(len(letters) >= 2 for letters, _ in table):
-            roots_apart = not are_conjugate(primitive_root(x), primitive_root(y))
-            conjugacy.record(roots_apart, "x=%r y=%r: roots conjugate despite a member", x, y)
-        try:
-            result = classify_imprimitive_set(code, table)
-        except RuntimeError as err:
-            set_shape.record(False, "%s", err)
+    recorders = cross, conjugacy, set_shape, power_shape = (
+        _Recorder(), _Recorder(), _Recorder(), _Recorder())
+    for x, y, cls, image in _code_pair_tables(max_word_len, max_exp, max_code_len):
+        if cls.counts:
+            for rec, n in zip(recorders, cls.counts):
+                rec.cases += n
             continue
-        if result.shape == "empty":
-            ok = result.k is None and not result.members
-        else:
-            repeated, single = ("x", "y") if result.shape == "x-centered" else ("y", "x")
-            k = result.k or 0
-            expected = {repeated * i + single + repeated * (k - i) for i in range(k + 1)}
-            ok = k >= 1 and {c.letters for c in result.members} == expected
-        if ok:
-            set_shape.cases += 1
-        else:
-            set_shape.record(False, "x=%r y=%r: %s", x, y, result.to_json_obj())
+        cases = [rec.cases for rec in recorders]
+        failed = _failed(recorders)
+        _check_code(BinaryCode(x, y), _image_table(cls.table, image), cls.hits, max_exp, *recorders)
+        if cls.counts is None:
+            clean = _failed(recorders) == failed
+            cls.counts = tuple(rec.cases - n for rec, n in zip(recorders, cases)) if clean else ()
     return [
         cross.result("cross-set-imprimitivity"),
         conjugacy.result("imprimitive-conjugacy"),

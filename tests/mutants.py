@@ -16,8 +16,8 @@ any directory, with pytest and hypothesis installed:
     python tests/mutants.py -k absorp    # mutants whose name contains "absorp"
 
 Exit status: 0 if every mutant was caught, 1 if one survived, 2 on an
-error: a stale fragment, a node id that does not exist, or an unmutated
-copy that fails its node ids.
+error: a ``-k`` that selects no mutant, a stale fragment, a node id
+that does not exist, or an unmutated copy that fails its node ids.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ STATEMENTS = (LEMMAS + "test_absorption_pass_checks_each_statement[<lambda>1]",)
 FACTOR_COUNTS = (LEMMAS + "test_suite_case_counts_at_knob_5",
                  LEMMAS + "test_power_factor_passes_match_the_separate_scans[3-3]",
                  LEMMAS + "test_factor_pair_pass_keeps_the_grouped_walks_failures[<lambda>3-4-3-default]")
+CLASSES = (LEMMAS + "test_code_pair_pass_checks_each_clean_class_once[length-7k]",)
 FACTOR_ORDER = (LEMMAS + "test_factor_pair_pass_keeps_the_grouped_walks_failures[<lambda>0-4-3-all]",
                 LEMMAS + "test_factor_pair_pass_keeps_the_grouped_walks_failures[<lambda>3-5-4-all]")
 
@@ -206,6 +207,18 @@ MUTANTS = [
     Mutant("a/b-swapped images with their reversal bits swapped", ORACLES,
            "(sx, sy), (sx[::-1], sy[::-1])", "(sx[::-1], sy[::-1]), (sx, sy)",
            (LEMMAS + "test_code_pair_walk_checks_each_table[cyclic-factor]",)),
+    # one verdict per symmetry class and the letter-count groups
+    Mutant("every class counted clean", ORACLES,
+           "clean = _failed(recorders) == failed", "clean = True",
+           CLASSES + (LEMMAS + "test_code_pair_walk_checks_each_table[length-7k]",)),
+    # equivalent with every failure kept: only the cap hides a failure
+    Mutant("clean test reads the capped failure list", ORACLES,
+           "sum(rec.failed for rec in recorders)", "sum(len(rec.failures) for rec in recorders)",
+           CLASSES),
+    Mutant("letter-count groups with gcd 2 skipped", CODES,
+           "p * nx + q * ny) == 1:", "p * nx + q * ny) <= 2:",
+           (LEMMAS + "test_code_pair_tables_match_each_codes_own[2-4-6]",
+            CODE_TESTS + "test_expansion_table_matches_code_words")),
 ]
 
 
@@ -244,7 +257,10 @@ def failed_ids(tree: Path, ids: tuple[str, ...]) -> set[str]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("-k", default="", help="run only mutants whose name contains this")
-    mutants = [m for m in MUTANTS if parser.parse_args().k in m.name]
+    selection = parser.parse_args().k
+    mutants = [m for m in MUTANTS if selection in m.name]
+    if not mutants:
+        error(f"no mutant's name contains {selection!r}")
     for m in mutants:
         count = (ROOT / m.path).read_text().count(m.fragment)
         if count != 1:

@@ -10,7 +10,7 @@ from itertools import permutations, product
 from wordeq.codes import BinaryCode
 from wordeq.equations import canonical_instance, is_periodic_solution, iter_solutions
 from wordeq.families import FamilyGridSummary, family_i1k1, family_j2
-from wordeq.oracles import MAX_RECORDED_FAILURES, OracleResult, _Recorder
+from wordeq.oracles import MAX_RECORDED_FAILURES, OracleResult, _Recorder, _SymmetryClass
 from wordeq.words import (
     ParameterError,
     all_words,
@@ -71,19 +71,20 @@ def naive_cross_set(code, max_exp: int):
 
 
 def naive_code_pair_tables(max_word_len: int, max_exp: int, max_code_len: int):
-    """(code, table, cross-set hit count) for every code pair, each read off its own code.
+    """(x, y, class, image) for every code pair, each pair a class of its own.
 
-    A stand-in for oracles._code_pair_tables with no symmetry classes and
-    no Lyndon words: the pairs come in the same order, and each table and
-    count is the naive one of that pair.
+    A stand-in for oracles._code_pair_tables with no symmetry classes, no
+    Lyndon words and no letter-count groups: the pairs come in the same
+    order, each class holds the naive table and count of its one pair,
+    and the image is the identity, so every code is checked in full.
     """
     for x in all_words(max_word_len, "ab"):
         for y in all_words(max_word_len, "ab"):
             if x + y == y + x:
                 continue
             code = BinaryCode(x, y)
-            hits = len(naive_cross_set(code, max_exp))
-            yield code, naive_imprimitive_code_words(code, max_code_len), hits
+            table = naive_imprimitive_code_words(code, max_code_len)
+            yield x, y, _SymmetryClass(table, len(naive_cross_set(code, max_exp))), (0, False)
 
 
 def naive_code_bounds(max_xy_total: int, max_code_len: int):

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import pytest
@@ -40,6 +41,7 @@ from support import (
     naive_cross_set,
     naive_factor_pair_checks,
     naive_head_clashes,
+    naive_imprimitive_code_words,
     naive_overlap_commutation,
     naive_periodicity_lemma,
     naive_tail_clashes,
@@ -508,18 +510,34 @@ def test_suite_case_counts_at_knob_7():
     ]
 
 
+def _walked_tables(max_word_len, max_exp, max_code_len):
+    """(x, y, table, hits) of every pair of the walk, each table mapped from its class's."""
+    return [(x, y, oracles._image_table(cls.table, image), cls.hits)
+            for x, y, cls, image in oracles._code_pair_tables(max_word_len, max_exp, max_code_len)]
+
+
 @pytest.mark.parametrize("max_word_len, max_exp, max_code_len", [
     (0, 3, 3), (1, 1, 1), (2, 4, 6), (3, 5, 4), (3, 1, 7), (4, 6, 5), (4, 2, 0),
 ])
 def test_code_pair_tables_match_each_codes_own(max_word_len, max_exp, max_code_len):
     # one table and one cross-set count per symmetry class, mapped onto
     # every member, must equal what each code computes for itself
-    walked = list(oracles._code_pair_tables(max_word_len, max_exp, max_code_len))
-    pairs = list(oracles._noncommuting_pairs(max_word_len))
-    assert [(code.x, code.y) for code, _, _ in walked] == pairs
-    for code, table, hits in walked:
-        assert table == imprimitive_code_words(code, max_code_len), code
+    walked = _walked_tables(max_word_len, max_exp, max_code_len)
+    assert [(x, y) for x, y, _, _ in walked] == list(oracles._noncommuting_pairs(max_word_len))
+    for x, y, table, hits in walked:
+        code = BinaryCode(x, y)
+        assert table == naive_imprimitive_code_words(code, max_code_len), code
         assert hits == len(naive_cross_set(code, max_exp)), code
+
+
+def test_letter_count_groups_only_skip(monkeypatch):
+    # with no group skipped the tables are the same; skipping the groups
+    # whose counts have gcd 2 as well loses squares
+    want = _walked_tables(4, 2, 7)
+    monkeypatch.setattr(codes, "gcd", lambda *counts: 0)
+    assert _walked_tables(4, 2, 7) == want
+    monkeypatch.setattr(codes, "gcd", lambda *counts: 1 if math.gcd(*counts) == 2 else math.gcd(*counts))
+    assert _walked_tables(4, 2, 7) != want
 
 
 def _cyclic_factor_test(p):
@@ -535,16 +553,32 @@ def _cyclic_factor_test(p):
 # for the images of a code under the three symmetries: the walk may
 # share them across a necklace and a symmetry class.  A wrong test
 # without that invariance makes the walk and the reference differ by
-# design.  Binary necklaces of fewer than six letters are each a rotation
-# of their reversal, so the code length must reach 6 before a test (the
-# cyclic factor here) can see whether the walk reverses a table.
+# design; so does one that names an m-th power whose letter counts m does
+# not divide, which the walk tests wrap in _within_letter_counts.  Binary
+# necklaces of fewer than six letters are each a rotation of their
+# reversal, so the code length must reach 6 before a test (the cyclic
+# factor here, chosen so that failing codes still have chiral tables
+# under that wrap) can see whether the walk reverses a table.
 WRONG_POWER_TESTS = {
     "length-8k": lambda w: 2 if len(w) % 8 == 0 else exponent(w),
     "length-7k": lambda w: 2 if len(w) % 7 == 0 else exponent(w),
     "length-6": lambda w: 3 if len(w) == 6 else exponent(w),
     "balanced": lambda w: 2 if w.count("a") == w.count("b") else exponent(w),
-    "cyclic-factor": _cyclic_factor_test("aabaabba"),
+    "cyclic-factor": _cyclic_factor_test("abaaaaba"),
 }
+
+
+def _within_letter_counts(wrong):
+    """``wrong`` where its exponent divides both letter counts, else the true exponent.
+
+    The walk skips the letter-count groups that hold no power: a true
+    m-th power has both letter counts divisible by m.  A wrong test that
+    breaks this makes the walk and the reference differ by design.
+    """
+    def test(w):
+        m = wrong(w)
+        return m if math.gcd(w.count("a"), w.count("b")) % m == 0 else exponent(w)
+    return test
 
 
 @pytest.mark.parametrize("wrong", WRONG_POWER_TESTS.values(), ids=WRONG_POWER_TESTS.keys())
@@ -552,21 +586,83 @@ def test_code_pair_walk_checks_each_table(monkeypatch, wrong):
     # with every failure kept, the four oracles must fail the same cases
     # whether the tables come from the walk or from each code's naive scan
     monkeypatch.setattr(oracles, "MAX_RECORDED_FAILURES", 10 ** 9)
+    wrong = _within_letter_counts(wrong)
     monkeypatch.setattr(codes, "exponent", wrong)
     monkeypatch.setattr(support, "naive_exponent", wrong)
     got = oracles._code_pair_checks(4, 6, 6)
-    monkeypatch.setattr(oracles, "_code_pair_tables", naive_code_pair_tables)
+    consumed = []
+
+    def stand_in(*args):
+        for entry in naive_code_pair_tables(*args):
+            consumed.append(entry[:2])
+            yield entry
+
+    monkeypatch.setattr(oracles, "_code_pair_tables", stand_in)
     _assert_same_verdicts(got, oracles._code_pair_checks(4, 6, 6))
+    assert consumed == list(oracles._noncommuting_pairs(4))
+
+
+def _symmetry_classes(max_word_len):
+    """The code pairs in classes under the a/b swap, reversal and the x/y swap, in walk order."""
+    ab = str.maketrans("ab", "ba")
+    classes = {}
+    for x, y in oracles._noncommuting_pairs(max_word_len):
+        images = set()
+        for gx, gy in ((x, y), (x[::-1], y[::-1])):
+            for hx, hy in ((gx, gy), (gx.translate(ab), gy.translate(ab))):
+                images |= {(hx, hy), (hy, hx)}
+        classes.setdefault(min(images), []).append((x, y))
+    return list(classes.values())
+
+
+@pytest.mark.parametrize("power_test", [exponent, WRONG_POWER_TESTS["length-7k"]], ids=["real", "length-7k"])
+def test_code_pair_pass_checks_each_clean_class_once(monkeypatch, power_test):
+    # a class whose first member fails nothing is checked once; a class
+    # whose first member fails anything is checked member by member, also
+    # once MAX_RECORDED_FAILURES failures are kept
+    wrong = _within_letter_counts(power_test)
+    monkeypatch.setattr(codes, "exponent", wrong)
+    monkeypatch.setattr(support, "naive_exponent", wrong)
+    classes = _symmetry_classes(4)
+    failing = set()
+    for x, y, cls, _ in naive_code_pair_tables(4, 6, 6):
+        recorders = [oracles._Recorder() for _ in range(4)]
+        oracles._check_code(BinaryCode(x, y), cls.table, cls.hits, 6, *recorders)
+        if any(rec.failed for rec in recorders):
+            failing.add((x, y))
+    pairs = list(oracles._noncommuting_pairs(4))
+    class_of = {pair: members for members in classes for pair in members}
+    want = [pair for pair in pairs if pair == class_of[pair][0] or failing & set(class_of[pair])]
+    checked = []
+    real = oracles.classify_imprimitive_set
+
+    def spy(code, table):
+        checked.append((code.x, code.y))
+        return real(code, table)
+
+    monkeypatch.setattr(oracles, "classify_imprimitive_set", spy)
+    oracles._code_pair_checks(4, 6, 6)
+    assert checked == want
+    if power_test is exponent:
+        assert not failing and len(checked) == len(classes) < len(pairs)
+    else:
+        assert len(failing) > 2 * oracles.MAX_RECORDED_FAILURES
+        assert len(classes) < len(checked) < len(pairs)
 
 
 def test_cyclic_factor_test_tells_a_table_from_its_reversal(monkeypatch):
-    monkeypatch.setattr(codes, "exponent", WRONG_POWER_TESTS["cyclic-factor"])
+    # the walk maps a table only for a class whose first member fails a
+    # check, so some failing code must have a table unlike its reversal's
+    monkeypatch.setattr(codes, "exponent", _within_letter_counts(WRONG_POWER_TESTS["cyclic-factor"]))
     chiral = 0
     for x, y in oracles._noncommuting_pairs(4):
-        table = imprimitive_code_words(BinaryCode(x, y), 6)
+        code = BinaryCode(x, y)
+        table = imprimitive_code_words(code, 6)
         mirrored = imprimitive_code_words(BinaryCode(x[::-1], y[::-1]), 6)
         assert sorted(w[::-1] for w, _ in table) == sorted(w for w, _ in mirrored)
-        chiral += sorted(table) != sorted(mirrored)
+        recorders = [oracles._Recorder() for _ in range(4)]
+        oracles._check_code(code, table, 0, 6, *recorders)
+        chiral += sorted(table) != sorted(mirrored) and any(rec.failed for rec in recorders)
     assert chiral > 0
 
 
