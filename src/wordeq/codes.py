@@ -204,9 +204,11 @@ def imprimitive_table(x: str, y: str, groups: list[tuple[int, int, list[str]]]) 
     letters, p #c(x) + q #c(y) of them the first letter c of x, so a
     group where these two numbers have gcd 1 holds no power and is
     skipped whole.  Over two letters that is the gcd of the two letter
-    counts.
+    counts.  Two replaces expand a word faster than a translate, but
+    only while x holds no letter y.
     """
-    subst = {ord("x"): x, ord("y"): y}
+    if "y" in x:
+        raise ValueError(f"x={x!r} holds the code letter y")
     c = x[0]
     cx, cy, nx, ny = x.count(c), y.count(c), len(x), len(y)
     found = []
@@ -214,7 +216,7 @@ def imprimitive_table(x: str, y: str, groups: list[tuple[int, int, list[str]]]) 
         if gcd(p * cx + q * cy, p * nx + q * ny) == 1:
             continue
         for w in words:
-            m = exponent(w.translate(subst))
+            m = exponent(w.replace("x", x).replace("y", y))
             if m > 1:
                 found.extend((w[r:] + w[:r], m) for r in range(len(w)))
     found.sort(key=code_order)

@@ -415,10 +415,6 @@ def _check_code(
         set_shape.record(False, "x=%r y=%r: %s", x, y, result.to_json_obj())
 
 
-def _failed(recorders: tuple[_Recorder, ...]) -> int:
-    return sum(rec.failed for rec in recorders)
-
-
 def _code_pair_checks(max_word_len: int, max_exp: int, max_code_len: int) -> list[OracleResult]:
     """The cross-set oracle and the three code-word oracles in one walk over the code pairs.
 
@@ -459,11 +455,12 @@ def _code_pair_checks(max_word_len: int, max_exp: int, max_code_len: int) -> lis
             for rec, n in zip(recorders, cls.counts):
                 rec.cases += n
             continue
-        cases = [rec.cases for rec in recorders]
-        failed = _failed(recorders)
+        if cls.counts is None:
+            cases = [rec.cases for rec in recorders]
+            failed = sum(rec.failed for rec in recorders)
         _check_code(BinaryCode(x, y), _image_table(cls.table, image), cls.hits, max_exp, *recorders)
         if cls.counts is None:
-            clean = _failed(recorders) == failed
+            clean = sum(rec.failed for rec in recorders) == failed
             cls.counts = tuple(rec.cases - n for rec, n in zip(recorders, cases)) if clean else ()
     return [
         cross.result("cross-set-imprimitivity"),

@@ -232,6 +232,14 @@ def test_expansion_table_matches_code_words():
     assert members > 0
 
 
+def test_expansion_table_refuses_a_code_letter_in_x():
+    # x = "y" would be expanded twice; y = "x" is expanded once, as it must
+    with pytest.raises(ValueError):
+        imprimitive_code_words(BinaryCode("y", "b"), 3)
+    code = BinaryCode("axa", "x")
+    assert imprimitive_code_words(code, 3) == naive_imprimitive_code_words(code, 3) == [("xy", 2), ("yx", 2)]
+
+
 @pytest.mark.parametrize("max_len", range(-1, 10))
 def test_lyndon_words_are_the_least_rotations(max_len):
     # a Lyndon word is primitive and strictly below its other rotations

@@ -553,32 +553,28 @@ def _cyclic_factor_test(p):
 # for the images of a code under the three symmetries: the walk may
 # share them across a necklace and a symmetry class.  A wrong test
 # without that invariance makes the walk and the reference differ by
-# design; so does one that names an m-th power whose letter counts m does
-# not divide, which the walk tests wrap in _within_letter_counts.  Binary
-# necklaces of fewer than six letters are each a rotation of their
+# design.  So does one that calls a word an m-th power although m does
+# not divide its letter counts, unless the walk's letter-count filter is
+# switched off (_without_letter_count_filter), as the walk tests do.
+# Binary necklaces of fewer than six letters are each a rotation of their
 # reversal, so the code length must reach 6 before a test (the cyclic
-# factor here, chosen so that failing codes still have chiral tables
-# under that wrap) can see whether the walk reverses a table.
+# factor here) can see whether the walk reverses a table.
 WRONG_POWER_TESTS = {
     "length-8k": lambda w: 2 if len(w) % 8 == 0 else exponent(w),
     "length-7k": lambda w: 2 if len(w) % 7 == 0 else exponent(w),
     "length-6": lambda w: 3 if len(w) == 6 else exponent(w),
     "balanced": lambda w: 2 if w.count("a") == w.count("b") else exponent(w),
-    "cyclic-factor": _cyclic_factor_test("abaaaaba"),
+    "cyclic-factor": _cyclic_factor_test("aabaabba"),
 }
 
 
-def _within_letter_counts(wrong):
-    """``wrong`` where its exponent divides both letter counts, else the true exponent.
+def _without_letter_count_filter(monkeypatch):
+    """Let imprimitive_table expand every word: no letter-count group has gcd 1.
 
-    The walk skips the letter-count groups that hold no power: a true
-    m-th power has both letter counts divisible by m.  A wrong test that
-    breaks this makes the walk and the reference differ by design.
+    The filter is sound for a true power test, which
+    test_letter_count_groups_only_skip and the table tests check.
     """
-    def test(w):
-        m = wrong(w)
-        return m if math.gcd(w.count("a"), w.count("b")) % m == 0 else exponent(w)
-    return test
+    monkeypatch.setattr(codes, "gcd", lambda *counts: 0)
 
 
 @pytest.mark.parametrize("wrong", WRONG_POWER_TESTS.values(), ids=WRONG_POWER_TESTS.keys())
@@ -586,7 +582,7 @@ def test_code_pair_walk_checks_each_table(monkeypatch, wrong):
     # with every failure kept, the four oracles must fail the same cases
     # whether the tables come from the walk or from each code's naive scan
     monkeypatch.setattr(oracles, "MAX_RECORDED_FAILURES", 10 ** 9)
-    wrong = _within_letter_counts(wrong)
+    _without_letter_count_filter(monkeypatch)
     monkeypatch.setattr(codes, "exponent", wrong)
     monkeypatch.setattr(support, "naive_exponent", wrong)
     got = oracles._code_pair_checks(4, 6, 6)
@@ -615,14 +611,14 @@ def _symmetry_classes(max_word_len):
     return list(classes.values())
 
 
-@pytest.mark.parametrize("power_test", [exponent, WRONG_POWER_TESTS["length-7k"]], ids=["real", "length-7k"])
+@pytest.mark.parametrize("power_test", [exponent, WRONG_POWER_TESTS["length-8k"]], ids=["real", "length-8k"])
 def test_code_pair_pass_checks_each_clean_class_once(monkeypatch, power_test):
     # a class whose first member fails nothing is checked once; a class
     # whose first member fails anything is checked member by member, also
     # once MAX_RECORDED_FAILURES failures are kept
-    wrong = _within_letter_counts(power_test)
-    monkeypatch.setattr(codes, "exponent", wrong)
-    monkeypatch.setattr(support, "naive_exponent", wrong)
+    _without_letter_count_filter(monkeypatch)
+    monkeypatch.setattr(codes, "exponent", power_test)
+    monkeypatch.setattr(support, "naive_exponent", power_test)
     classes = _symmetry_classes(4)
     failing = set()
     for x, y, cls, _ in naive_code_pair_tables(4, 6, 6):
@@ -653,7 +649,8 @@ def test_code_pair_pass_checks_each_clean_class_once(monkeypatch, power_test):
 def test_cyclic_factor_test_tells_a_table_from_its_reversal(monkeypatch):
     # the walk maps a table only for a class whose first member fails a
     # check, so some failing code must have a table unlike its reversal's
-    monkeypatch.setattr(codes, "exponent", _within_letter_counts(WRONG_POWER_TESTS["cyclic-factor"]))
+    _without_letter_count_filter(monkeypatch)
+    monkeypatch.setattr(codes, "exponent", WRONG_POWER_TESTS["cyclic-factor"])
     chiral = 0
     for x, y in oracles._noncommuting_pairs(4):
         code = BinaryCode(x, y)
