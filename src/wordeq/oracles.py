@@ -3,12 +3,13 @@
 Each check asserts the lemma's conclusion verbatim on every input
 within its bound, counting some cases in closed form or by symmetry,
 each way proven equal to the enumeration.  The largest pass, the walk
-over code pairs, checks one member of each symmetry class of codes
-when that member fails nothing, and expands only the code words whose
-letter counts leave room for a power.  The checks are universally
-quantified statements, so shrinking a bound can only shrink the case
-count, never flip a verdict.  ``run_lemma_suite`` runs all fourteen with
-bounds derived from a single size knob whose default reproduces the
+over code pairs, checks the first member of each symmetry class of
+codes and counts its cases by the class's size, walks every code once
+a check fails, and expands only the code words whose letter counts
+leave room for a power.  The checks are universally quantified
+statements, so shrinking a bound can only shrink the case count, never
+flip a verdict.  ``run_lemma_suite`` runs all fourteen with bounds
+derived from a single size knob whose default reproduces the
 documented desk-scale ranges.
 """
 
@@ -22,7 +23,6 @@ from .codes import (
     CodeWord,
     classify_imprimitive_set,
     classify_x_power,
-    code_order,
     imprimitive_in_cross_set,
     imprimitive_table,
     letter_count_groups,
@@ -65,7 +65,7 @@ class OracleResult:
 
 
 class _Recorder:
-    """Counts cases and failures, and keeps the first MAX_RECORDED_FAILURES failures.
+    """Counts cases, and keeps the first MAX_RECORDED_FAILURES failures.
 
     A description is a format string and its arguments, joined with
     ``%`` only when a failure is kept, so passing cases cost no string
@@ -75,19 +75,15 @@ class _Recorder:
 
     def __init__(self) -> None:
         self.cases = 0
-        self.failed = 0
         self.failures: list[str] = []
 
     def record(self, ok: bool, fmt: str, *args: object) -> None:
         self.cases += 1
-        if not ok:
-            self.failed += 1
-            if len(self.failures) < MAX_RECORDED_FAILURES:
-                self.failures.append(fmt % args)
+        if not ok and len(self.failures) < MAX_RECORDED_FAILURES:
+            self.failures.append(fmt % args)
 
     def tally(self, failed: int, fmt: str, *args: object) -> None:
         """Keep ``failed`` failures with one description; their cases are counted apart."""
-        self.failed += failed
         kept = min(failed, MAX_RECORDED_FAILURES - len(self.failures))
         if kept > 0:
             self.failures.extend([fmt % args] * kept)
@@ -301,81 +297,40 @@ def check_conjugacy_transfer(max_u_len: int = 5, max_z_len: int = 7) -> OracleRe
 
 
 _AB_SWAP = str.maketrans("ab", "ba")
-_XY_SWAP = str.maketrans("xy", "yx")
 
 
-class _SymmetryClass:
-    """Codes that the three symmetries of _code_pair_tables map onto one another.
+def _code_classes(max_word_len: int) -> Iterator[tuple[str, str, int]]:
+    """(x, y, size) for the first code pair met of each symmetry class, in walk order.
 
-    ``table`` and ``hits`` are those of the first member met.  ``counts``
-    is None until that member is checked, then the case counts it added
-    to the four recorders if it failed nothing, else ().
+    The walk is _noncommuting_pairs.  A class is a pair's images under
+    swapping the letters a and b, reversing x and y, and swapping x and
+    y: up to eight pairs, at least two since x != y.  Every image is a
+    non-commuting pair of the same lengths, so the class's other members
+    come later in the walk; each is dropped from ``met`` as the walk
+    meets it.
     """
-
-    __slots__ = ("table", "hits", "counts")
-
-    def __init__(self, table: list[tuple[str, int]], hits: int) -> None:
-        self.table = table
-        self.hits = hits
-        self.counts: tuple[int, ...] | None = None
-
-
-def _image_table(table: list[tuple[str, int]], image: tuple[int, bool]) -> list[tuple[str, int]]:
-    """A member's table from its class's: code words reversed and/or x and y swapped, re-sorted."""
-    reverse, swap = image
-    if not (reverse or swap):
-        return table
-    step = -1 if reverse else 1
-    letter_map = _XY_SWAP if swap else {}
-    return sorted(((letters[::step].translate(letter_map), m) for letters, m in table), key=code_order)
-
-
-def _code_pair_tables(
-    max_word_len: int, max_exp: int, max_code_len: int
-) -> Iterator[tuple[str, str, _SymmetryClass, tuple[int, bool]]]:
-    """Each code pair (x, y) with its symmetry class and its image of the class's first member.
-
-    The pairs come in _noncommuting_pairs order.  The image (reverse,
-    swap) gives the pair's imprimitive_code_words table as
-    _image_table(cls.table, image); cls.hits is
-    len(imprimitive_in_cross_set(code, max_exp)) for every member.
-    Three symmetries map one code's table onto another's: swapping
-    the letters a and b keeps it, reversing x and y reverses each of its
-    code-letter words, and swapping x and y swaps their letters.  None
-    moves the count, since each cross-set word lands on a conjugate of a
-    cross-set word.  So the first pair met of each class of up to eight
-    builds the table and the count, from the Lyndon words grouped by
-    their letter counts once per walk.  A class is dropped once all its
-    members are met.
-    """
-    groups = letter_count_groups(lyndon_words(max_code_len))
-    pending: dict[tuple[str, str], tuple[_SymmetryClass, tuple[int, bool]]] = {}
+    met: set[tuple[str, str]] = set()
     for x, y in _noncommuting_pairs(max_word_len):
-        member = pending.pop((x, y), None)
-        if member is None:
-            hits = len(imprimitive_in_cross_set(BinaryCode(x, y), max_exp))
-            cls = _SymmetryClass(imprimitive_table(x, y, groups), hits)
-            sx, sy = x.translate(_AB_SWAP), y.translate(_AB_SWAP)
-            # image g: reversed when bit 0 of g is set, a/b swapped when bit 1 is
-            images = (x, y), (x[::-1], y[::-1]), (sx, sy), (sx[::-1], sy[::-1])
-            for g, (gx, gy) in enumerate(images):
-                pending.setdefault((gx, gy), (cls, (g & 1, False)))
-                pending.setdefault((gy, gx), (cls, (g & 1, True)))
-            member = pending.pop((x, y))
-        yield x, y, *member
+        if (x, y) in met:
+            met.remove((x, y))
+            continue
+        sx, sy = x.translate(_AB_SWAP), y.translate(_AB_SWAP)
+        images = {(x, y), (x[::-1], y[::-1]), (sx, sy), (sx[::-1], sy[::-1])}
+        images |= {(gy, gx) for gx, gy in images}
+        met |= images - {(x, y)}
+        yield x, y, len(images)
 
 
 def _check_code(
-    code: BinaryCode, table: list[tuple[str, int]], hits: int, max_exp: int,
+    code: BinaryCode, table: list[tuple[str, int]], hits: list[str], max_exp: int,
     cross: _Recorder, conjugacy: _Recorder, set_shape: _Recorder, power_shape: _Recorder,
 ) -> None:
-    """The four checks on one code, given its table and cross-set hit count."""
+    """The four checks on one code, given its table and the code letters of its cross-set hits."""
     x, y = code.x, code.y
-    if hits <= 1:
+    if len(hits) <= 1:
         cross.cases += 1
     else:
-        own = [c.letters for c in imprimitive_in_cross_set(code, max_exp)]
-        cross.record(False, "x=%r y=%r: %s", x, y, own)
+        cross.record(False, "x=%r y=%r: %s", x, y, hits)
     for letters, e in table:
         n = len(letters)
         in_cross = are_conjugate(letters, "x" * (n - 1) + "y") or are_conjugate(
@@ -424,9 +379,9 @@ def _code_pair_checks(max_word_len: int, max_exp: int, max_code_len: int) -> lis
     max_code_len 0 leaves every table empty.  A cross-set count above
     one lists that code's own hits for its failure description.
 
-    The four checks run on the first member of each symmetry class.  If
-    it fails nothing, every later member adds the same case counts and
-    is not checked: a member's table is the first one's with each code
+    The four checks run on the first member of each symmetry class, and
+    its case counts are counted once per member, by the class's size.
+    That is exact: a member's table is the first one's with each code
     word w mapped to its image w' (reversed and/or x and y swapped), so
     the cases, one per entry and per divisor of its exponent, match,
     and each verdict does too:
@@ -441,27 +396,31 @@ def _code_pair_checks(max_word_len: int, max_exp: int, max_code_len: int) -> lis
       has a single odd letter iff w' has;
     - the centered family of size k maps onto a centered family of size
       k, so the set has a centered shape on every member or on none;
-    - the cross-set count is the class's.
+    - each cross-set word lands on a conjugate of a cross-set word, so
+      every member has as many hits.
 
-    A class whose first member fails anything is checked member by
-    member in walk order, so the failure texts and their order are
-    those of a walk that checks every code.  Failures are counted apart
-    from the MAX_RECORDED_FAILURES kept.
+    So a class whose first member fails nothing has no failing member.
+    Once a first member fails anything, the walk starts again with
+    fresh counts and checks every code with its own table, so the
+    failure texts and their order are those of a walk that checks every
+    code.  Every class holds (x, y) and (y, x), so only the class walk
+    meets a size above one.
     """
-    recorders = cross, conjugacy, set_shape, power_shape = (
-        _Recorder(), _Recorder(), _Recorder(), _Recorder())
-    for x, y, cls, image in _code_pair_tables(max_word_len, max_exp, max_code_len):
-        if cls.counts:
-            for rec, n in zip(recorders, cls.counts):
-                rec.cases += n
-            continue
-        if cls.counts is None:
+    groups = letter_count_groups(lyndon_words(max_code_len))
+    every_code = ((x, y, 1) for x, y in _noncommuting_pairs(max_word_len))
+    for walk in (_code_classes(max_word_len), every_code):
+        recorders = cross, conjugacy, set_shape, power_shape = [_Recorder() for _ in range(4)]
+        for x, y, size in walk:
             cases = [rec.cases for rec in recorders]
-            failed = sum(rec.failed for rec in recorders)
-        _check_code(BinaryCode(x, y), _image_table(cls.table, image), cls.hits, max_exp, *recorders)
-        if cls.counts is None:
-            clean = sum(rec.failed for rec in recorders) == failed
-            cls.counts = tuple(rec.cases - n for rec, n in zip(recorders, cases)) if clean else ()
+            code = BinaryCode(x, y)
+            hits = [c.letters for c in imprimitive_in_cross_set(code, max_exp)]
+            _check_code(code, imprimitive_table(x, y, groups), hits, max_exp, *recorders)
+            if size > 1 and any(rec.failures for rec in recorders):
+                break
+            for rec, n in zip(recorders, cases):
+                rec.cases += (rec.cases - n) * (size - 1)
+        else:
+            break
     return [
         cross.result("cross-set-imprimitivity"),
         conjugacy.result("imprimitive-conjugacy"),

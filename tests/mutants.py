@@ -204,21 +204,39 @@ MUTANTS = [
     Mutant("expand reads letters outside xy", CODES,
            "if letters.strip(CODE_LETTERS):", "if False:",
            (CODE_TESTS + "test_expand_rejects_letters_outside_xy",)),
-    Mutant("a/b-swapped images with their reversal bits swapped", ORACLES,
-           "(sx, sy), (sx[::-1], sy[::-1])", "(sx[::-1], sy[::-1]), (sx, sy)",
-           (LEMMAS + "test_code_pair_walk_checks_each_table[cyclic-factor]",)),
-    # one verdict per symmetry class and the letter-count groups
-    Mutant("every class counted clean", ORACLES,
-           "clean = sum(rec.failed for rec in recorders) == failed", "clean = True",
-           CLASSES + (LEMMAS + "test_code_pair_walk_checks_each_table[length-7k]",)),
-    # equivalent with every failure kept: only the cap hides a failure
-    Mutant("clean test reads the capped failure list", ORACLES,
-           "clean = sum(rec.failed for rec in recorders)",
-           "clean = sum(len(rec.failures) for rec in recorders)",
-           CLASSES),
+    # one check per symmetry class, counted by its size, and the letter-count groups
+    Mutant("class size off by one", ORACLES,
+           "yield x, y, len(images)", "yield x, y, len(images) - 1",
+           (LEMMAS + "test_code_classes_partition_the_walk[2]",
+            LEMMAS + "test_suite_case_counts_at_knob_6")),
+    Mutant("no second pass after a failing class", ORACLES,
+           "if size > 1 and any(rec.failures for rec in recorders):", "if False:",
+           CLASSES + (LEMMAS + "test_code_pair_walk_checks_each_table[length-7k]",
+                      LEMMAS + "test_code_pair_walk_checks_each_table[length-7k-default]")),
+    Mutant("second pass over the class starts only", ORACLES,
+           "((x, y, 1) for x, y in _noncommuting_pairs(max_word_len))",
+           "((x, y, 1) for x, y, _ in _code_classes(max_word_len))",
+           CLASSES + (LEMMAS + "test_code_pair_walk_checks_each_table[length-7k]",
+                      LEMMAS + "test_code_pair_walk_checks_each_table[length-7k-default]")),
+    Mutant("class set without the reversed a/b swap", ORACLES,
+           "(sx, sy), (sx[::-1], sy[::-1])}", "(sx, sy)}",
+           (LEMMAS + "test_suite_case_counts_at_knob_6",
+            LEMMAS + "test_suite_case_counts_at_knob_7")),
+    # equivalent in every oracle result: without the x/y-swap images the
+    # classes split into their orbits under the a/b swap and reversal.
+    # Those still partition the pairs, and each is counted exactly by its
+    # own size, by the argument of _code_pair_checks.  A failing code makes
+    # the start of its orbit fail as it makes the start of its class fail,
+    # so both walks go on to the same second pass.  Only the work differs:
+    # the partition test and the spy on the checks see the extra starts.
+    Mutant("class set without the x/y-swap images", ORACLES,
+           "images |= {(gy, gx) for gx, gy in images}", "pass",
+           (LEMMAS + "test_code_classes_partition_the_walk[2]",
+            LEMMAS + "test_code_pair_pass_checks_each_clean_class_once[real]")),
     Mutant("letter-count groups with gcd 2 skipped", CODES,
            "p * nx + q * ny) == 1:", "p * nx + q * ny) <= 2:",
            (LEMMAS + "test_code_pair_tables_match_each_codes_own[2-4-6]",
+            LEMMAS + "test_suite_case_counts_at_knob_7",
             CODE_TESTS + "test_expansion_table_matches_code_words")),
 ]
 

@@ -10,7 +10,7 @@ from itertools import permutations, product
 from wordeq.codes import BinaryCode
 from wordeq.equations import canonical_instance, is_periodic_solution, iter_solutions
 from wordeq.families import FamilyGridSummary, family_i1k1, family_j2
-from wordeq.oracles import MAX_RECORDED_FAILURES, OracleResult, _Recorder, _SymmetryClass
+from wordeq.oracles import MAX_RECORDED_FAILURES, OracleResult, _check_code, _Recorder
 from wordeq.words import (
     ParameterError,
     all_words,
@@ -70,21 +70,24 @@ def naive_cross_set(code, max_exp: int):
             if letters in members and naive_exponent(code.expand(letters)) > 1]
 
 
-def naive_code_pair_tables(max_word_len: int, max_exp: int, max_code_len: int):
-    """(x, y, class, image) for every code pair, each pair a class of its own.
+def naive_code_pair_checks(max_word_len: int, max_exp: int, max_code_len: int):
+    """[cross set, imprimitive conjugacy, set shape, power shape] from every code's own scan.
 
-    A stand-in for oracles._code_pair_tables with no symmetry classes, no
-    Lyndon words and no letter-count groups: the pairs come in the same
-    order, each class holds the naive table and count of its one pair,
-    and the image is the identity, so every code is checked in full.
+    A stand-in for oracles._code_pair_checks with no symmetry classes, no
+    Lyndon words and no letter-count groups: every non-commuting pair
+    over "ab", in the same order, is checked by oracles._check_code on
+    its naive table and its naive cross-set hits.
     """
+    recorders = [_Recorder() for _ in range(4)]
     for x in all_words(max_word_len, "ab"):
         for y in all_words(max_word_len, "ab"):
             if x + y == y + x:
                 continue
             code = BinaryCode(x, y)
             table = naive_imprimitive_code_words(code, max_code_len)
-            yield x, y, _SymmetryClass(table, len(naive_cross_set(code, max_exp))), (0, False)
+            _check_code(code, table, naive_cross_set(code, max_exp), max_exp, *recorders)
+    names = ("cross-set-imprimitivity", "imprimitive-conjugacy", "imprimitive-set-shape", "power-shape")
+    return [rec.result(name) for rec, name in zip(recorders, names)]
 
 
 def naive_code_bounds(max_xy_total: int, max_code_len: int):

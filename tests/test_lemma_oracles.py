@@ -36,7 +36,7 @@ from support import (
     grouped_factor_pair_checks,
     naive_absorption_checks,
     naive_code_bounds,
-    naive_code_pair_tables,
+    naive_code_pair_checks,
     naive_conjugacy_transfer,
     naive_cross_set,
     naive_factor_pair_checks,
@@ -510,34 +510,38 @@ def test_suite_case_counts_at_knob_7():
     ]
 
 
-def _walked_tables(max_word_len, max_exp, max_code_len):
-    """(x, y, table, hits) of every pair of the walk, each table mapped from its class's."""
-    return [(x, y, oracles._image_table(cls.table, image), cls.hits)
-            for x, y, cls, image in oracles._code_pair_tables(max_word_len, max_exp, max_code_len)]
-
-
 @pytest.mark.parametrize("max_word_len, max_exp, max_code_len", [
     (0, 3, 3), (1, 1, 1), (2, 4, 6), (3, 5, 4), (3, 1, 7), (4, 6, 5), (4, 2, 0),
 ])
-def test_code_pair_tables_match_each_codes_own(max_word_len, max_exp, max_code_len):
-    # one table and one cross-set count per symmetry class, mapped onto
-    # every member, must equal what each code computes for itself
-    walked = _walked_tables(max_word_len, max_exp, max_code_len)
-    assert [(x, y) for x, y, _, _ in walked] == list(oracles._noncommuting_pairs(max_word_len))
-    for x, y, table, hits in walked:
+def test_code_pair_tables_match_each_codes_own(monkeypatch, max_word_len, max_exp, max_code_len):
+    # the walk checks the first member of each class, with the table and
+    # the cross-set hits that the code computes for itself
+    read = []
+    real = oracles._check_code
+
+    def spy(code, table, hits, *args):
+        read.append((code.x, code.y, table, hits))
+        return real(code, table, hits, *args)
+
+    monkeypatch.setattr(oracles, "_check_code", spy)
+    assert all(r.passed for r in oracles._code_pair_checks(max_word_len, max_exp, max_code_len))
+    assert [(x, y) for x, y, _, _ in read] == [(x, y) for x, y, _ in oracles._code_classes(max_word_len)]
+    for x, y, table, hits in read:
         code = BinaryCode(x, y)
         assert table == naive_imprimitive_code_words(code, max_code_len), code
-        assert hits == len(naive_cross_set(code, max_exp)), code
+        assert hits == naive_cross_set(code, max_exp), code
 
 
 def test_letter_count_groups_only_skip(monkeypatch):
     # with no group skipped the tables are the same; skipping the groups
     # whose counts have gcd 2 as well loses squares
-    want = _walked_tables(4, 2, 7)
+    groups = codes.letter_count_groups(codes.lyndon_words(7))
+    pairs = list(oracles._noncommuting_pairs(4))
+    want = [oracles.imprimitive_table(x, y, groups) for x, y in pairs]
     monkeypatch.setattr(codes, "gcd", lambda *counts: 0)
-    assert _walked_tables(4, 2, 7) == want
+    assert [oracles.imprimitive_table(x, y, groups) for x, y in pairs] == want
     monkeypatch.setattr(codes, "gcd", lambda *counts: 1 if math.gcd(*counts) == 2 else math.gcd(*counts))
-    assert _walked_tables(4, 2, 7) != want
+    assert [oracles.imprimitive_table(x, y, groups) for x, y in pairs] != want
 
 
 def _cyclic_factor_test(p):
@@ -577,25 +581,23 @@ def _without_letter_count_filter(monkeypatch):
     monkeypatch.setattr(codes, "gcd", lambda *counts: 0)
 
 
-@pytest.mark.parametrize("wrong", WRONG_POWER_TESTS.values(), ids=WRONG_POWER_TESTS.keys())
-def test_code_pair_walk_checks_each_table(monkeypatch, wrong):
-    # with every failure kept, the four oracles must fail the same cases
-    # whether the tables come from the walk or from each code's naive scan
-    monkeypatch.setattr(oracles, "MAX_RECORDED_FAILURES", 10 ** 9)
+@pytest.mark.parametrize(
+    "wrong, kept",
+    [(w, 10 ** 9) for w in WRONG_POWER_TESTS.values()]
+    + [(w, oracles.MAX_RECORDED_FAILURES) for w in WRONG_POWER_TESTS.values()],
+    ids=[*WRONG_POWER_TESTS, *(f"{name}-default" for name in WRONG_POWER_TESTS)],
+)
+def test_code_pair_walk_checks_each_table(monkeypatch, wrong, kept):
+    # with every failure kept and with the default cap, the four oracles
+    # must give what a walk that checks every code with its own naive
+    # table gives: the same counts and failures, in order
+    monkeypatch.setattr(oracles, "MAX_RECORDED_FAILURES", kept)
     _without_letter_count_filter(monkeypatch)
     monkeypatch.setattr(codes, "exponent", wrong)
     monkeypatch.setattr(support, "naive_exponent", wrong)
     got = oracles._code_pair_checks(4, 6, 6)
-    consumed = []
-
-    def stand_in(*args):
-        for entry in naive_code_pair_tables(*args):
-            consumed.append(entry[:2])
-            yield entry
-
-    monkeypatch.setattr(oracles, "_code_pair_tables", stand_in)
-    _assert_same_verdicts(got, oracles._code_pair_checks(4, 6, 6))
-    assert consumed == list(oracles._noncommuting_pairs(4))
+    assert got == naive_code_pair_checks(4, 6, 6)
+    assert all(0 < len(r.failures) < r.cases for r in got)
 
 
 def _symmetry_classes(max_word_len):
@@ -611,24 +613,34 @@ def _symmetry_classes(max_word_len):
     return list(classes.values())
 
 
+@pytest.mark.parametrize("max_word_len", range(6))
+def test_code_classes_partition_the_walk(max_word_len):
+    # one (x, y, size) per class, at its first pair in walk order, and
+    # the sizes add up to every pair of the walk
+    classes = _symmetry_classes(max_word_len)
+    got = list(oracles._code_classes(max_word_len))
+    assert got == [(*members[0], len(members)) for members in classes]
+    assert sum(size for _, _, size in got) == len(list(oracles._noncommuting_pairs(max_word_len)))
+
+
 @pytest.mark.parametrize("power_test", [exponent, WRONG_POWER_TESTS["length-8k"]], ids=["real", "length-8k"])
 def test_code_pair_pass_checks_each_clean_class_once(monkeypatch, power_test):
-    # a class whose first member fails nothing is checked once; a class
-    # whose first member fails anything is checked member by member, also
-    # once MAX_RECORDED_FAILURES failures are kept
+    # the first member of each class is checked until one fails; from
+    # then on every code is checked, from the start of the walk
     _without_letter_count_filter(monkeypatch)
     monkeypatch.setattr(codes, "exponent", power_test)
     monkeypatch.setattr(support, "naive_exponent", power_test)
-    classes = _symmetry_classes(4)
-    failing = set()
-    for x, y, cls, _ in naive_code_pair_tables(4, 6, 6):
-        recorders = [oracles._Recorder() for _ in range(4)]
-        oracles._check_code(BinaryCode(x, y), cls.table, cls.hits, 6, *recorders)
-        if any(rec.failed for rec in recorders):
-            failing.add((x, y))
+    starts = [members[0] for members in _symmetry_classes(4)]
     pairs = list(oracles._noncommuting_pairs(4))
-    class_of = {pair: members for members in classes for pair in members}
-    want = [pair for pair in pairs if pair == class_of[pair][0] or failing & set(class_of[pair])]
+    want = starts
+    for n, (x, y) in enumerate(starts):
+        code = BinaryCode(x, y)
+        recorders = [oracles._Recorder() for _ in range(4)]
+        table, hits = naive_imprimitive_code_words(code, 6), naive_cross_set(code, 6)
+        oracles._check_code(code, table, hits, 6, *recorders)
+        if any(rec.failures for rec in recorders):
+            want = starts[:n + 1] + pairs
+            break
     checked = []
     real = oracles.classify_imprimitive_set
 
@@ -640,15 +652,15 @@ def test_code_pair_pass_checks_each_clean_class_once(monkeypatch, power_test):
     oracles._code_pair_checks(4, 6, 6)
     assert checked == want
     if power_test is exponent:
-        assert not failing and len(checked) == len(classes) < len(pairs)
+        assert len(checked) == len(starts) < len(pairs)
     else:
-        assert len(failing) > 2 * oracles.MAX_RECORDED_FAILURES
-        assert len(classes) < len(checked) < len(pairs)
+        assert 1 < len(checked) - len(pairs) < len(starts)
 
 
 def test_cyclic_factor_test_tells_a_table_from_its_reversal(monkeypatch):
-    # the walk maps a table only for a class whose first member fails a
-    # check, so some failing code must have a table unlike its reversal's
+    # some failing code has a table unlike its reversal's, so the exact
+    # comparison with the per-code walk would catch a walk that checked a
+    # class member with its class's table
     _without_letter_count_filter(monkeypatch)
     monkeypatch.setattr(codes, "exponent", WRONG_POWER_TESTS["cyclic-factor"])
     chiral = 0
@@ -658,14 +670,14 @@ def test_cyclic_factor_test_tells_a_table_from_its_reversal(monkeypatch):
         mirrored = imprimitive_code_words(BinaryCode(x[::-1], y[::-1]), 6)
         assert sorted(w[::-1] for w, _ in table) == sorted(w for w, _ in mirrored)
         recorders = [oracles._Recorder() for _ in range(4)]
-        oracles._check_code(code, table, 0, 6, *recorders)
-        chiral += sorted(table) != sorted(mirrored) and any(rec.failed for rec in recorders)
+        oracles._check_code(code, table, [], 6, *recorders)
+        chiral += sorted(table) != sorted(mirrored) and any(rec.failures for rec in recorders)
     assert chiral > 0
 
 
 def test_cross_set_failures_list_each_codes_own_hits(monkeypatch):
-    # a class shares one hit count, but the x/y swap moves the hits
-    # between x^n y and x y^n: a failing member lists its own
+    # a class's members have as many hits, but the x/y swap moves them
+    # between x^n y and x y^n: each failing code lists its own
     monkeypatch.setattr(oracles, "MAX_RECORDED_FAILURES", 10 ** 9)
     wrong = WRONG_POWER_TESTS["length-7k"]
     monkeypatch.setattr(codes, "exponent", wrong)
