@@ -42,9 +42,12 @@ CODE_TESTS = "tests/test_codes.py::"
 EQ = "tests/test_equations.py::"
 LEMMAS = "tests/test_lemma_oracles.py::"
 WORD_TESTS = "tests/test_words.py::"
+PIN = "tests/test_parity.py::test_output_is_pinned"
 TRANSFER = (WORD_TESTS + "test_transfer_decomposition_examples",
-            LEMMAS + "test_oracle_passes[check_conjugacy_transfer-kwargs4]")
+            LEMMAS + "test_oracle_passes[check_conjugacy_transfer-kwargs4]",
+            PIN + "[primitives-sweep]")
 COUNTS = (LEMMAS + "test_absorption_pass_counts_each_exponent[2]",)
+WIDE = (PIN + "[oracles-wide]",)
 FRONTS = (LEMMAS + "test_absorbed_words_start_with_their_front[3]",)
 STATEMENTS = (LEMMAS + "test_absorption_pass_checks_each_statement[<lambda>1]",)
 FACTOR_COUNTS = (LEMMAS + "test_suite_case_counts_at_knob_5",
@@ -69,12 +72,14 @@ MUTANTS = [
            "if not words[2].startswith(words[0]):", "if False:",
            (EQ + "test_side_swap_can_win_when_i_is_0",
             EQ + "test_side_swap_is_named_only_when_u_does_not_start_with_x",
-            EQ + "test_counted_report_matches_listed_every_small_triple[0-1-1]")),
+            EQ + "test_counted_report_matches_listed_every_small_triple[0-1-1]",
+            PIN + "[solve-edge-cases]")),
     Mutant("side swap rule tests endswith", EQUATIONS,
            "if not words[2].startswith(words[0]):", "if not words[2].endswith(words[0]):",
            (EQ + "test_side_swap_can_win_when_i_is_0",
             EQ + "test_side_swap_is_named_only_when_u_does_not_start_with_x",
-            EQ + "test_counted_report_matches_listed_every_small_triple[0-1-1]")),
+            EQ + "test_counted_report_matches_listed_every_small_triple[0-1-1]",
+            PIN + "[solve-edge-cases]")),
     Mutant("side swap guard dropped", EQUATIONS,
            "if not words[2].startswith(words[0]):", "if True:",
            (EQ + "test_side_swap_is_named_only_when_u_does_not_start_with_x",)),
@@ -89,36 +94,40 @@ MUTANTS = [
            "mirrored = scaled[:a][::-1] + scaled[a:b][::-1] + scaled[b:c][::-1] + scaled[c:][::-1]",
            "mirrored = scaled[:a] + scaled[a:b] + scaled[b:c] + scaled[c:]",
            (EQ + "test_counted_report_matches_listed_every_small_triple[1-1-1]",
-            EQ + "test_nonperiodic_reps_invariant_under_symmetries")),
+            EQ + "test_nonperiodic_reps_invariant_under_symmetries",
+            PIN + "[solve-121-40]")),
     Mutant("sigma reads x from scaled[a - 1::-1]", EQUATIONS,
            "mirrored = scaled[:a][::-1] +", "mirrored = scaled[a - 1::-1] +",
            (EQ + "test_counted_report_matches_listed_every_small_triple[1-1-1]",
-            EQ + "test_counted_report_matches_listed_every_small_triple[2-1-2]")),
+            EQ + "test_counted_report_matches_listed_every_small_triple[2-1-2]",
+            PIN + "[solve-edge-cases]")),
     Mutant("mirror growth string not renumbered", EQUATIONS,
            "d = names.setdefault(r[m], len(names))", "d = r[m]",
            (EQ + "test_counted_report_matches_listed_every_small_triple[1-1-1]",
-            EQ + "test_nonperiodic_reps_invariant_under_symmetries")),
+            EQ + "test_nonperiodic_reps_invariant_under_symmetries",
+            PIN + "[solve-121-40]")),
     Mutant("mirror test < for <=", EQUATIONS,
            "            return d < c\n    return False", "            return d < c\n    return True",
            (EQ + "test_nonforcing_at_boundary",
-            EQ + "test_counted_report_matches_listed_every_small_triple[1-1-1]")),
+            EQ + "test_counted_report_matches_listed_every_small_triple[1-1-1]",
+            PIN + "[verify-131-17]")),
     # the two absorption walks
     Mutant("prefix-power suffixes longest first", ORACLES,
            "for cut in range(lv, -1, -1):", "for cut in range(lv + 1):",
            COUNTS),
     Mutant("prefix-power z = '' dropped", ORACLES,
            "for cut in range(lv, -1, -1):", "for cut in range(lv - 1, -1, -1):",
-           COUNTS + FRONTS),
+           COUNTS + FRONTS + WIDE),
     Mutant("prefix-power z = v dropped", ORACLES,
            "for cut in range(lv, -1, -1):", "for cut in range(lv, 0, -1):",
-           COUNTS + FRONTS),
+           COUNTS + FRONTS + WIDE),
     Mutant("prefix-power i = E skipped", ORACLES,
            "for i in range(1, max_exp + 1):\n                base = z + v * i",
            "for i in range(1, max_exp):\n                base = z + v * i",
-           COUNTS + FRONTS),
+           COUNTS + FRONTS + WIDE),
     Mutant("short-prefix cases not multiplied by the fronts", ORACLES,
            "short_prefix.cases += len(fronts)", "short_prefix.cases += 1",
-           COUNTS + FRONTS),
+           COUNTS + FRONTS + WIDE),
     Mutant("short-prefix |w| = r", ORACLES,
            "v, t, i, len(t) + r)", "v, t, i, r)",
            COUNTS + STATEMENTS),
@@ -128,7 +137,7 @@ MUTANTS = [
     Mutant("short-prefix i = E skipped", ORACLES,
            "for i in range(1, max_exp + 1):\n            power = v * i",
            "for i in range(1, max_exp):\n            power = v * i",
-           COUNTS + FRONTS),
+           COUNTS + FRONTS + WIDE),
     # the factor-pair keys and their closed-form case counts
     Mutant("aligned-prefix count one short per key", ORACLES,
            "prefix.cases += n - b - m + 1", "prefix.cases += n - b - m",
@@ -161,20 +170,20 @@ MUTANTS = [
            "if s.endswith(w):", "if True:",
            (LEMMAS + "test_overlap_commutation_matches_the_cut_scan[5]",
             LEMMAS + "test_overlap_walk_meets_each_proper_cut_once",
-            LEMMAS + "test_suite_case_counts_at_knob_5")),
+            LEMMAS + "test_suite_case_counts_at_knob_5") + WIDE),
     Mutant("overlap walk checks one cut only", ORACLES,
            "cuts = (q,) if 2 * q == n else (q, n - q)", "cuts = (q,)",
            (LEMMAS + "test_overlap_commutation_matches_the_cut_scan[3]",
             LEMMAS + "test_overlap_walk_meets_each_proper_cut_once",
-            LEMMAS + "test_overlap_cases_come_from_the_whole_border_chain[<lambda>]")),
+            LEMMAS + "test_overlap_cases_come_from_the_whole_border_chain[<lambda>]") + WIDE),
     Mutant("overlap trivial cuts off by one", ORACLES,
            "rec.cases = 2 * ((2 << max_word_len) - 2)", "rec.cases = 2 * ((2 << max_word_len) - 1)",
            (LEMMAS + "test_overlap_commutation_matches_the_cut_scan[1]",
-            LEMMAS + "test_suite_case_counts_at_knob_5")),
+            LEMMAS + "test_suite_case_counts_at_knob_5") + WIDE),
     Mutant("periodicity pairs counted one way", ORACLES,
            "rec.cases += 2 * len(p) * len(q)", "rec.cases += len(p) * len(q)",
            (LEMMAS + "test_periodicity_lemma_matches_the_pairwise_factor_sets[2]",
-            LEMMAS + "test_suite_case_counts_at_knob_5")),
+            LEMMAS + "test_suite_case_counts_at_knob_5") + WIDE),
     # equivalent under the real power_factors, which never fail a pair;
     # both stand-ins fail some, so their failure lists tell the orders apart
     Mutant("periodicity failures in one pair order", ORACLES,
@@ -195,12 +204,13 @@ MUTANTS = [
            TRANSFER),
     Mutant("power_factors of the empty root at length 0", WORDS,
            'set() if length else {""}', "set()",
-           (WORD_TESTS + "test_power_factors_of_the_empty_word",)),
+           (WORD_TESTS + "test_power_factors_of_the_empty_word", PIN + "[primitives-sweep]")),
     Mutant("centred shapes' labels swapped", CODES,
            '((SHAPE_X_CENTERED, "x", "y"), (SHAPE_Y_CENTERED, "y", "x"))',
            '((SHAPE_Y_CENTERED, "x", "y"), (SHAPE_X_CENTERED, "y", "x"))',
            (CODE_TESTS + "test_imprimitive_set_example",
-            CODE_TESTS + "test_imprimitive_set_y_centered_exists")),
+            CODE_TESTS + "test_imprimitive_set_y_centered_exists",
+            PIN + "[primitives-sweep]")),
     Mutant("expand reads letters outside xy", CODES,
            "if letters.strip(CODE_LETTERS):", "if False:",
            (CODE_TESTS + "test_expand_rejects_letters_outside_xy",)),
@@ -208,7 +218,8 @@ MUTANTS = [
     Mutant("class size off by one", ORACLES,
            "yield x, y, len(images)", "yield x, y, len(images) - 1",
            (LEMMAS + "test_code_classes_partition_the_walk[2]",
-            LEMMAS + "test_suite_case_counts_at_knob_6")),
+            LEMMAS + "test_suite_case_counts_at_knob_6",
+            PIN + "[lemmas-7]")),
     Mutant("no second pass after a failing class", ORACLES,
            "if size > 1 and any(rec.failures for rec in recorders):", "if False:",
            CLASSES + (LEMMAS + "test_code_pair_walk_checks_each_table[length-7k]",
@@ -221,7 +232,8 @@ MUTANTS = [
     Mutant("class set without the reversed a/b swap", ORACLES,
            "(sx, sy), (sx[::-1], sy[::-1])}", "(sx, sy)}",
            (LEMMAS + "test_suite_case_counts_at_knob_6",
-            LEMMAS + "test_suite_case_counts_at_knob_7")),
+            LEMMAS + "test_suite_case_counts_at_knob_7",
+            PIN + "[lemmas-7]")),
     # equivalent in every oracle result: without the x/y-swap images the
     # classes split into their orbits under the a/b swap and reversal.
     # Those still partition the pairs, and each is counted exactly by its
@@ -237,7 +249,8 @@ MUTANTS = [
            "p * nx + q * ny) == 1:", "p * nx + q * ny) <= 2:",
            (LEMMAS + "test_code_pair_tables_match_each_codes_own[2-4-6]",
             LEMMAS + "test_suite_case_counts_at_knob_7",
-            CODE_TESTS + "test_expansion_table_matches_code_words")),
+            CODE_TESTS + "test_expansion_table_matches_code_words",
+            PIN + "[lemmas-7]", PIN + "[primitives-sweep]")),
 ]
 
 
