@@ -175,11 +175,6 @@ def lyndon_words(max_len: int) -> list[str]:
     return found
 
 
-def code_order(entry: tuple[str, int]) -> tuple[int, str]:
-    """Sort key of a (letters, exponent) entry: code_words order, by length, then x < y."""
-    return len(entry[0]), entry[0]
-
-
 def letter_count_groups(lyndon: list[str]) -> list[tuple[int, int, list[str]]]:
     """The words of ``lyndon`` as (p, q, words): those with p x's and q y's, in first-met order.
 
@@ -219,7 +214,7 @@ def imprimitive_table(x: str, y: str, groups: list[tuple[int, int, list[str]]]) 
             m = exponent(w.replace("x", x).replace("y", y))
             if m > 1:
                 found.extend((w[r:] + w[:r], m) for r in range(len(w)))
-    found.sort(key=code_order)
+    found.sort(key=lambda entry: (len(entry[0]), entry[0]))
     return found
 
 

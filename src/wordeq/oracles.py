@@ -286,12 +286,8 @@ def check_conjugacy_transfer(max_u_len: int = 5, max_z_len: int = 7) -> OracleRe
                 and d.ell >= 0
                 and is_primitive(seed)
                 and seed == root
+                and (0 < len(d.sigma) <= len(seed) if z else d.sigma == "")
             )
-            if z:
-                r = len(z) % len(seed)
-                ok = ok and len(d.sigma) == (r if r else len(seed))
-            else:
-                ok = ok and d.sigma == ""
             rec.record(ok, "u=%r z=%r: got %s", u, z, d)
     return rec.result("conjugacy-transfer")
 
@@ -322,15 +318,12 @@ def _code_classes(max_word_len: int) -> Iterator[tuple[str, str, int]]:
 
 
 def _check_code(
-    code: BinaryCode, table: list[tuple[str, int]], hits: list[str], max_exp: int,
+    code: BinaryCode, table: list[tuple[str, int]], hits: list[str],
     cross: _Recorder, conjugacy: _Recorder, set_shape: _Recorder, power_shape: _Recorder,
 ) -> None:
     """The four checks on one code, given its table and the code letters of its cross-set hits."""
     x, y = code.x, code.y
-    if len(hits) <= 1:
-        cross.cases += 1
-    else:
-        cross.record(False, "x=%r y=%r: %s", x, y, hits)
+    cross.record(len(hits) <= 1, "x=%r y=%r: %s", x, y, hits)
     for letters, e in table:
         n = len(letters)
         in_cross = are_conjugate(letters, "x" * (n - 1) + "y") or are_conjugate(
@@ -414,7 +407,7 @@ def _code_pair_checks(max_word_len: int, max_exp: int, max_code_len: int) -> lis
             cases = [rec.cases for rec in recorders]
             code = BinaryCode(x, y)
             hits = [c.letters for c in imprimitive_in_cross_set(code, max_exp)]
-            _check_code(code, imprimitive_table(x, y, groups), hits, max_exp, *recorders)
+            _check_code(code, imprimitive_table(x, y, groups), hits, *recorders)
             if size > 1 and any(rec.failures for rec in recorders):
                 break
             for rec, n in zip(recorders, cases):

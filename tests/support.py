@@ -85,7 +85,7 @@ def naive_code_pair_checks(max_word_len: int, max_exp: int, max_code_len: int):
                 continue
             code = BinaryCode(x, y)
             table = naive_imprimitive_code_words(code, max_code_len)
-            _check_code(code, table, naive_cross_set(code, max_exp), max_exp, *recorders)
+            _check_code(code, table, naive_cross_set(code, max_exp), *recorders)
     names = ("cross-set-imprimitivity", "imprimitive-conjugacy", "imprimitive-set-shape", "power-shape")
     return [rec.result(name) for rec, name in zip(recorders, names)]
 

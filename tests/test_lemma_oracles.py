@@ -385,6 +385,19 @@ def test_conjugacy_transfer_walk_checks_each_case(monkeypatch, wrong):
     _assert_same_verdicts([check_conjugacy_transfer(5, 8)], [naive_conjugacy_transfer(5, 8)])
 
 
+def _empty_seed(u, z, v):
+    d = transfer_decomposition(u, z, v)
+    return ConjugacyDecomposition("", "", d.ell, d.m)
+
+
+def test_conjugacy_transfer_records_an_empty_seed(monkeypatch):
+    # a broken decomposition is a failed case, not a division by |seed| = 0
+    real = check_conjugacy_transfer(2, 2)
+    monkeypatch.setattr(oracles, "transfer_decomposition", _empty_seed)
+    got = check_conjugacy_transfer(2, 2)
+    assert not got.passed and got.cases == real.cases
+
+
 @pytest.mark.parametrize("max_word_len", range(0, 13))
 def test_overlap_commutation_matches_the_cut_scan(max_word_len):
     assert check_overlap_commutation(max_word_len) == naive_overlap_commutation(max_word_len)
@@ -637,7 +650,7 @@ def test_code_pair_pass_checks_each_clean_class_once(monkeypatch, power_test):
         code = BinaryCode(x, y)
         recorders = [oracles._Recorder() for _ in range(4)]
         table, hits = naive_imprimitive_code_words(code, 6), naive_cross_set(code, 6)
-        oracles._check_code(code, table, hits, 6, *recorders)
+        oracles._check_code(code, table, hits, *recorders)
         if any(rec.failures for rec in recorders):
             want = starts[:n + 1] + pairs
             break
@@ -670,7 +683,7 @@ def test_cyclic_factor_test_tells_a_table_from_its_reversal(monkeypatch):
         mirrored = imprimitive_code_words(BinaryCode(x[::-1], y[::-1]), 6)
         assert sorted(w[::-1] for w, _ in table) == sorted(w for w, _ in mirrored)
         recorders = [oracles._Recorder() for _ in range(4)]
-        oracles._check_code(code, table, [], 6, *recorders)
+        oracles._check_code(code, table, [], *recorders)
         chiral += sorted(table) != sorted(mirrored) and any(rec.failures for rec in recorders)
     assert chiral > 0
 

@@ -5,17 +5,23 @@ checkout's ``src``, never an installed copy.  Stderr, which holds argparse's
 usage text on a usage error, is not hashed.  Output from a set is printed
 sorted, so no pin depends on ``PYTHONHASHSEED``.  A hash changes only by an
 edit to ``PINS`` that CHANGES.md names; ``PYTHONPATH=src python <args> |
-sha256sum`` shows a command's hash.
+sha256sum`` shows a command's hash.  Every script in ``demos/`` is a pin,
+and the docstring examples of every ``wordeq`` module run here too.
 """
 
+import doctest
 import hashlib
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 from typing import NamedTuple
 
 import pytest
+
+import wordeq as package
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -131,7 +137,20 @@ PINS = [
         "e3bbd5f7272c0bdf195ec99219acbb7d61524b72b766f0e30438d272b00771dc"),
     Pin("primitives-sweep", ("-c", PRIMITIVES_SWEEP), 0, 60,
         "2f5f005cc7f55f1b8b254ac5f7a71fcbb6117decc12cf342486be4864446cca9"),
+    # the walk-throughs in demos/, one pin per script
+    Pin("demo-binary_code_imprimitivity", ("demos/binary_code_imprimitivity.py",), 0, 60,
+        "cfb2e024cc3858a525e9e686e2c429cb3b604659b54c5c4934e0b2e8ecfa23a0"),
+    Pin("demo-boundary_families", ("demos/boundary_families.py",), 0, 60,
+        "5e76982001471a0d1e0296b10cb906b3d1e23afc759ace317bf8b68a28f18ece"),
+    Pin("demo-conjecture_scan", ("demos/conjecture_scan.py",), 0, 60,
+        "a82279d1d3bb3e31d9b4cb897b5a4ce079a9187525f952f546b5f05ebefbc373"),
+    Pin("demo-forcing_verification", ("demos/forcing_verification.py",), 0, 60,
+        "2c030a89998d9e736053b31c881aec3aab57f6816f5b719ee62bc772ffbbcb23"),
+    Pin("demo-roots_and_conjugacy", ("demos/roots_and_conjugacy.py",), 0, 60,
+        "110d9260b01c6aa34acb6da788fea7e9c737bb69250c7e4233ba6c71e273e5ac"),
 ]
+
+MODULES = [package.__name__, *(m.name for m in pkgutil.iter_modules(package.__path__, "wordeq."))]
 
 
 @pytest.mark.parametrize("pin", PINS, ids=[pin.name for pin in PINS])
@@ -141,3 +160,13 @@ def test_output_is_pinned(pin):
                           capture_output=True, timeout=pin.timeout)
     assert proc.returncode == pin.exit, proc.stderr.decode()[-2000:]
     assert hashlib.sha256(proc.stdout).hexdigest() == pin.sha256
+
+
+def test_every_demo_is_pinned():
+    demos = {f"demos/{path.name}" for path in (ROOT / "demos").glob("*.py")}
+    assert demos == {pin.args[0] for pin in PINS if pin.name.startswith("demo-")}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_docstring_examples(name):
+    assert doctest.testmod(importlib.import_module(name)).failed == 0
