@@ -19,7 +19,6 @@ from typing import Sequence
 from .equations import (
     Exponents,
     SolutionReport,
-    _validate_search_args,
     enumerate_solutions,
     forcing_verdict,
     theorem_applies,
@@ -33,6 +32,9 @@ EX_WITNESS = 2
 EX_LEMMA = 3
 EX_USAGE = 64
 EX_DATA = 65
+
+# each instance family: its builder, its second parameter word and its exponent
+FAMILIES = {"j2": (family_j2, "beta", "k"), "i1k1": (family_i1k1, "gamma", "j")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_family = sub.add_parser("family",
                               help="build a boundary family instance, or validate a grid of them")
-    p_family.add_argument("--family", choices=("j2", "i1k1", "grid"), required=True)
+    p_family.add_argument("--family", choices=(*FAMILIES, "grid"), required=True)
     p_family.add_argument("--alpha", default=None, help="first parameter word")
     p_family.add_argument("--beta", default=None, help="second parameter word (family j2)")
     p_family.add_argument("--gamma", default=None, help="second parameter word (family i1k1)")
@@ -115,15 +117,13 @@ def _report_text(report: SolutionReport) -> None:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     exps = Exponents(args.i, args.j, args.k)
-    # checked before the note, so a usage error never comes with it
-    _validate_search_args(exps, args.alphabet, args.max_len, args.shards)
+    verdict = forcing_verdict(exps, args.alphabet, args.max_len, shards=args.shards)
     if not theorem_applies(exps):
         print(
             f"note: exponents ({exps.i},{exps.j},{exps.k}) are outside the proven "
             "forcing range (j >= 3, i + k >= 3, i k != 0); running anyway",
             file=sys.stderr,
         )
-    verdict = forcing_verdict(exps, args.alphabet, args.max_len, shards=args.shards)
     if args.format == "json":
         print(verdict.to_json(), end="")
     else:
@@ -163,22 +163,17 @@ def cmd_family(args: argparse.Namespace) -> int:
             print("all valid and non-periodic")
         return EX_OK
 
+    build, second_name, exp_name = FAMILIES[args.family]
+    second, exp = getattr(args, second_name), getattr(args, f"param_{exp_name}")
     if args.alpha is None:
         args.subparser.error("--alpha is required")
-    second_name = "--beta" if args.family == "j2" else "--gamma"
-    second = args.beta if args.family == "j2" else args.gamma
     if second is None:
-        args.subparser.error(f"{second_name} is required for family {args.family}")
+        args.subparser.error(f"--{second_name} is required for family {args.family}")
     check_letters(args.alpha, args.alphabet)
     check_letters(second, args.alphabet)
 
     try:
-        if args.family == "j2":
-            inst = family_j2(args.alpha, second, args.param_k)
-            params = {"alpha": args.alpha, "beta": second, "k": args.param_k}
-        else:
-            inst = family_i1k1(args.alpha, second, args.param_j)
-            params = {"alpha": args.alpha, "gamma": second, "j": args.param_j}
+        inst = build(args.alpha, second, exp)
     except CommutingParametersError as err:
         print(f"wordeq family: {err}", file=sys.stderr)
         return EX_DATA
@@ -186,7 +181,7 @@ def cmd_family(args: argparse.Namespace) -> int:
     if args.format == "json":
         obj = inst.to_json_obj()
         obj["family"] = args.family
-        obj["params"] = params
+        obj["params"] = {"alpha": args.alpha, second_name: second, exp_name: exp}
         print(json.dumps(obj, indent=2))
     else:
         i, j, k = inst.exps

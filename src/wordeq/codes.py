@@ -200,10 +200,10 @@ def imprimitive_table(x: str, y: str, groups: list[tuple[int, int, list[str]]]) 
     group where these two numbers have gcd 1 holds no power and is
     skipped whole.  Over two letters that is the gcd of the two letter
     counts.  Two replaces expand a word faster than a translate, but
-    only while x holds no letter y.
+    when x holds the letter y the second would expand it again, so such
+    a code takes the translate.
     """
-    if "y" in x:
-        raise ValueError(f"x={x!r} holds the code letter y")
+    table = {ord("x"): x, ord("y"): y} if "y" in x else None
     c = x[0]
     cx, cy, nx, ny = x.count(c), y.count(c), len(x), len(y)
     found = []
@@ -211,7 +211,7 @@ def imprimitive_table(x: str, y: str, groups: list[tuple[int, int, list[str]]]) 
         if gcd(p * cx + q * cy, p * nx + q * ny) == 1:
             continue
         for w in words:
-            m = exponent(w.replace("x", x).replace("y", y))
+            m = exponent(w.translate(table) if table else w.replace("x", x).replace("y", y))
             if m > 1:
                 found.extend((w[r:] + w[:r], m) for r in range(len(w)))
     found.sort(key=lambda entry: (len(entry[0]), entry[0]))

@@ -19,6 +19,9 @@ from .words import ParameterError, alphabet, commutes
 # grid whose counts need more could not be printed.
 _MAX_DIGITS = 4300
 _TOO_LARGE = 10**_MAX_DIGITS
+# The longest common value a single family instance may have, about 60 MB
+# at peak; the grid's longest, family_j2("a", "b", 500), has 2,006,005.
+_MAX_LETTERS = 10**7
 
 
 class CommutingParametersError(ValueError):
@@ -30,6 +33,14 @@ def _require_noncommuting(p: str, q: str, names: str) -> None:
         raise CommutingParametersError(f"{names} must be non-empty")
     if commutes(p, q):
         raise CommutingParametersError(f"{names} = {p!r}, {q!r} commute")
+
+
+def _check_length(exps: Exponents, lx: int, ly: int) -> None:
+    # from the lengths of x and y alone, before any word is built
+    i, j, k = exps
+    n = (i + k) * lx + j * ly
+    if n > _MAX_LETTERS:
+        raise ParameterError(f"the common value would have {n} letters, more than {_MAX_LETTERS}")
 
 
 def _certify(inst: EquationInstance, label: str) -> EquationInstance:
@@ -47,15 +58,19 @@ def family_j2(alpha: str, beta: str, k: int = 1) -> EquationInstance:
 
     x = alpha^(2k+1) (beta alpha^k)^2        u = alpha
     y = beta alpha^k                         v = (alpha^k beta)^2 (alpha^(3k+1) beta alpha^k beta)^k
+
+    A common value of more than ten million letters raises ParameterError.
     """
     if k < 1:
         raise ParameterError("k must be >= 1")
+    exps = Exponents(k + 1, 2, k)
+    _check_length(exps, (4 * k + 1) * len(alpha) + 2 * len(beta), len(beta) + k * len(alpha))
     _require_noncommuting(alpha, beta, "alpha and beta")
     ak = alpha * k
     x = alpha * (2 * k + 1) + (beta + ak) * 2
     y = beta + ak
     v = (ak + beta) * 2 + (alpha * (3 * k + 1) + beta + ak + beta) * k
-    inst = EquationInstance(Exponents(k + 1, 2, k), x, y, alpha, v)
+    inst = EquationInstance(exps, x, y, alpha, v)
     return _certify(inst, "j2")
 
 
@@ -64,14 +79,17 @@ def family_i1k1(alpha: str, gamma: str, j: int = 3) -> EquationInstance:
 
     u = alpha, y = gamma, v = alpha gamma^j alpha, and x = alpha beta alpha
     where beta = v^((j-1)/2) is the word square root of v^(j-1).
+    A common value of more than ten million letters raises ParameterError.
     """
     if j < 3 or j % 2 == 0:
         raise ParameterError("beta^2 = v^(j-1) has a word solution only for odd j >= 3")
+    exps = Exponents(1, j, 1)
+    _check_length(exps, 2 * len(alpha) + (j - 1) // 2 * (2 * len(alpha) + j * len(gamma)), len(gamma))
     _require_noncommuting(alpha, gamma, "alpha and gamma")
     v = alpha + gamma * j + alpha
     beta = v * ((j - 1) // 2)
     x = alpha + beta + alpha
-    inst = EquationInstance(Exponents(1, j, 1), x, gamma, alpha, v)
+    inst = EquationInstance(exps, x, gamma, alpha, v)
     return _certify(inst, "i1k1")
 
 

@@ -36,10 +36,12 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 CODES = "src/wordeq/codes.py"
 EQUATIONS = "src/wordeq/equations.py"
+FAMILIES = "src/wordeq/families.py"
 ORACLES = "src/wordeq/oracles.py"
 WORDS = "src/wordeq/words.py"
 CODE_TESTS = "tests/test_codes.py::"
 EQ = "tests/test_equations.py::"
+FAMILY_TESTS = "tests/test_families.py::"
 LEMMAS = "tests/test_lemma_oracles.py::"
 WORD_TESTS = "tests/test_words.py::"
 PIN = "tests/test_parity.py::test_output_is_pinned"
@@ -251,6 +253,15 @@ MUTANTS = [
             LEMMAS + "test_suite_case_counts_at_knob_7",
             CODE_TESTS + "test_expansion_table_matches_code_words",
             PIN + "[lemmas-7]", PIN + "[primitives-sweep]")),
+    # a code whose x holds the code letter y
+    Mutant("expansion never takes the translate", CODES,
+           'if "y" in x else None', "if False else None",
+           (CODE_TESTS + "test_expansion_table_takes_code_letters_in_either_word",)),
+    # the letter budget of a single family instance
+    Mutant("letter budget one letter short", FAMILIES,
+           "if n > _MAX_LETTERS:", "if n >= _MAX_LETTERS:",
+           (FAMILY_TESTS + "test_family_builds_a_common_value_of_the_letter_budget[j2]",
+            FAMILY_TESTS + "test_family_builds_a_common_value_of_the_letter_budget[i1k1]")),
 ]
 
 

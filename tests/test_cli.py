@@ -33,6 +33,26 @@ def test_verify_witness_exit_2(capsys):
     assert "outside the proven forcing range" in err
 
 
+NOTE = ("note: exponents (1,3,1) are outside the proven forcing range "
+        "(j >= 3, i + k >= 3, i k != 0); running anyway\n")
+
+
+@pytest.mark.parametrize("exps, code, note", [(("1", "3", "1"), 2, NOTE), (("2", "3", "1"), 0, "")])
+def test_verify_note_comes_once_after_the_search(capsys, monkeypatch, exps, code, note):
+    real = cli.forcing_verdict
+
+    def spy(*args, **kwargs):
+        print("searched", file=sys.stderr)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "forcing_verdict", spy)
+    i, j, k = exps
+    got, out, err = run_cli(capsys, "verify", "--i", i, "--j", j, "--k", k, "--max-len", "18")
+    assert got == code
+    assert out.startswith(f"pattern a^{i} b^{j} a^{k}")
+    assert err == "searched\n" + note
+
+
 def test_verify_bound_too_small_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--i", "2", "--j", "3", "--k", "1", "--max-len", "3"])
@@ -119,6 +139,29 @@ def test_family_i1k1_text(capsys):
                            "--gamma", "b", "--param-j", "3")
     assert code == 0
     assert "aabbbaabbbaabbbaa" in out
+
+
+def test_family_i1k1_json(capsys):
+    code, out, _ = run_cli(capsys, "family", "--family", "i1k1", "--alpha", "a",
+                           "--gamma", "b", "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj == {
+        "x": "aabbbaa",
+        "y": "b",
+        "u": "a",
+        "v": "abbba",
+        "family": "i1k1",
+        "params": {"alpha": "a", "gamma": "b", "j": 3},
+    }
+
+
+def test_family_choices_are_the_table_and_grid(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["family", "--help"])
+    assert exc.value.code == 0
+    assert "--family {j2,i1k1,grid}" in capsys.readouterr().out
+    assert [*cli.FAMILIES, "grid"] == ["j2", "i1k1", "grid"]
 
 
 def test_family_commuting_parameters_exit_65(capsys):
@@ -222,6 +265,8 @@ def test_lemmas_zero_is_usage_error():
     ("family --family i1k1 --alpha a --gamma a --param-j 4", 64),
     ("family --family j2 --alpha a --beta aa", 65),
     ("family --family j2 --alpha c --beta aa --alphabet 2", 64),
+    ("family --family j2 --alpha a --beta b --param-k 1118", 64),
+    ("family --family i1k1 --alpha a --gamma aa --param-j 2237", 64),
     ("family --family grid --max-len 0 --alphabet 27", 64),
     ("family --family grid --param-k 501", 64),
     ("family --family grid --param-j 1002", 64),
@@ -254,6 +299,8 @@ def test_parameter_errors_come_from_the_library():
         lambda: enumerate_solutions((2, 3, 1), 27, 18),
         lambda: family_j2("a", "b", 0),
         lambda: family_i1k1("a", "b", 4),
+        lambda: family_j2("a", "b", 1118),
+        lambda: family_i1k1("a", "b", 3163),
         lambda: validate_family_grid(0, 1, 3),
         lambda: validate_family_grid(1, 501, 3),
         lambda: validate_family_grid(1, 1, 1002),

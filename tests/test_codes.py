@@ -232,12 +232,18 @@ def test_expansion_table_matches_code_words():
     assert members > 0
 
 
-def test_expansion_table_refuses_a_code_letter_in_x():
-    # x = "y" would be expanded twice; y = "x" is expanded once, as it must
-    with pytest.raises(ValueError):
-        imprimitive_code_words(BinaryCode("y", "b"), 3)
-    code = BinaryCode("axa", "x")
-    assert imprimitive_code_words(code, 3) == naive_imprimitive_code_words(code, 3) == [("xy", 2), ("yx", 2)]
+def test_expansion_table_takes_code_letters_in_either_word():
+    # an x that holds the letter y is expanded by the translate table, any
+    # other code by the two replaces; y = "x" is expanded once either way
+    assert x_primitive_imprimitive_set(BinaryCode("y", "yz"), 3).shape == "empty"
+    assert imprimitive_code_words(BinaryCode("xy", "x"), 3) == []
+    for x, y in [("y", "yz"), ("xy", "x"), ("y", "x"), ("yxy", "x"), ("axa", "x")]:
+        code = BinaryCode(x, y)
+        for max_code_len in range(8):
+            assert imprimitive_code_words(code, max_code_len) == naive_imprimitive_code_words(
+                code, max_code_len), (x, y, max_code_len)
+    for x in ("yxy", "axa"):
+        assert imprimitive_code_words(BinaryCode(x, "x"), 3) == [("xy", 2), ("yx", 2)]
 
 
 @pytest.mark.parametrize("max_len", range(-1, 10))

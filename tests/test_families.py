@@ -1,5 +1,6 @@
 import pytest
 
+from wordeq import families
 from wordeq.equations import Exponents, check, is_periodic_solution
 from wordeq.families import (
     CommutingParametersError,
@@ -7,7 +8,7 @@ from wordeq.families import (
     family_j2,
     validate_family_grid,
 )
-from wordeq.words import all_words, commutes
+from wordeq.words import ParameterError, all_words, commutes
 from support import naive_family_grid
 
 
@@ -130,3 +131,31 @@ def test_families_are_images_of_the_base_pair():
 def test_grid_pair_counts_beyond_the_sweep():
     assert validate_family_grid(6, 1, 3, 3).pairs == 1_191_198
     assert validate_family_grid(7, 1, 3, 3).pairs == 10_748_352
+
+
+# the common value has 17 |alpha| + 8 |beta| letters (j2, k = 1) and
+# 8 |alpha| + 9 |gamma| letters (i1k1, j = 3)
+@pytest.mark.parametrize("build, alpha, second, n", [
+    (family_j2, "a" * 8, "b" * 1_249_983, 1),
+    (family_i1k1, "a" * 1_249_991, "b" * 8, 3),
+], ids=["j2", "i1k1"])
+def test_family_builds_a_common_value_of_the_letter_budget(build, alpha, second, n):
+    assert len(build(alpha, second, n).lhs()) == families._MAX_LETTERS == 10**7
+
+
+@pytest.mark.parametrize("build, alpha, second, n, letters", [
+    (family_j2, "a", "b" * 1_249_998, 1, 10_000_001),
+    (family_i1k1, "a" * 1_249_999, "b", 3, 10_000_001),
+    (family_j2, "a", "aa", 1118, 10_017_289),
+    (family_i1k1, "a", "aa", 2237, 10_012_814),
+], ids=["j2", "i1k1", "j2-commuting", "i1k1-commuting"])
+def test_family_refuses_a_common_value_over_the_letter_budget(build, alpha, second, n, letters):
+    # refused from the parameter lengths, before the words are checked or built
+    with pytest.raises(ParameterError, match=f"would have {letters} letters, more than 10000000$"):
+        build(alpha, second, n)
+
+
+def test_letter_budget_keeps_the_grids_instances():
+    # the longest instances validate_family_grid builds, at max_k 500 and max_j 1001
+    assert len(family_j2("a", "b", 500).lhs()) == 2_006_005
+    assert len(family_i1k1("a", "b", 1001).lhs()) == 1_004_005

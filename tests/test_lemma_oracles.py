@@ -613,6 +613,17 @@ def test_code_pair_walk_checks_each_table(monkeypatch, wrong, kept):
     assert all(0 < len(r.failures) < r.cases for r in got)
 
 
+@pytest.mark.parametrize("max_word_len, max_exp, max_code_len", list(dict.fromkeys(
+    [(w, 6, c) for w in range(5) for c in range(6)]
+    + [(max(1, n - 2), max(1, n), max(2, n - 1)) for n in range(1, 7)])))
+def test_code_pair_walk_matches_every_codes_own_scan(max_word_len, max_exp, max_code_len):
+    # under the real power test, with the letter-count filter on: word
+    # caps 0-4, code caps 0-5 and the ranges of lemma knobs 1-6
+    got = oracles._code_pair_checks(max_word_len, max_exp, max_code_len)
+    assert got == naive_code_pair_checks(max_word_len, max_exp, max_code_len)
+    assert all(r.passed for r in got)
+
+
 def _symmetry_classes(max_word_len):
     """The code pairs in classes under the a/b swap, reversal and the x/y swap, in walk order."""
     ab = str.maketrans("ab", "ba")
