@@ -35,6 +35,11 @@ EX_DATA = 65
 
 # each instance family: its builder, its second parameter word and its exponent
 FAMILIES = {"j2": (family_j2, "beta", "k"), "i1k1": (family_i1k1, "gamma", "j")}
+# the flags only some families read, with their defaults; argparse leaves
+# them None, so that a flag the chosen family does not read can be refused
+FAMILY_FLAGS = {"alpha": None, "beta": None, "gamma": None, "param_k": 1, "param_j": 3, "max_len": 2}
+FAMILY_READS = {"grid": {"max_len", "param_k", "param_j"},
+                **{name: {"alpha", second, f"param_{exp}"} for name, (_, second, exp) in FAMILIES.items()}}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,11 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_family.add_argument("--alpha", default=None, help="first parameter word")
     p_family.add_argument("--beta", default=None, help="second parameter word (family j2)")
     p_family.add_argument("--gamma", default=None, help="second parameter word (family i1k1)")
-    p_family.add_argument("--param-k", type=int, default=1, help="k for family j2, or grid maximum")
-    p_family.add_argument("--param-j", type=int, default=3, help="j for family i1k1, or grid maximum")
+    p_family.add_argument("--param-k", type=int, help="k for family j2, or grid maximum")
+    p_family.add_argument("--param-j", type=int, help="j for family i1k1, or grid maximum")
     p_family.add_argument("--alphabet", type=int, default=2)
-    p_family.add_argument("--max-len", type=int, default=2,
-                          help="grid mode: maximum parameter word length")
+    p_family.add_argument("--max-len", type=int, help="grid mode: maximum parameter word length")
     _add_format_flag(p_family)
     p_family.set_defaults(subparser=p_family, run=cmd_family)
 
@@ -145,6 +149,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_family(args: argparse.Namespace) -> int:
+    for name, default in FAMILY_FLAGS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif name not in FAMILY_READS[args.family]:
+            args.subparser.error(f"family {args.family} does not read --{name.replace('_', '-')}")
+
     if args.family == "grid":
         summary = validate_family_grid(args.max_len, args.param_k, args.param_j, args.alphabet)
         if args.format == "json":

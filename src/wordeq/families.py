@@ -4,6 +4,12 @@ Two constructions witness that the forcing bounds j >= 3 and i + k >= 3
 are tight: one family solves the equation with j = 2 and i = k + 1, the
 other with i = k = 1 and odd j >= 3.  Both take a pair of non-commuting
 parameter words and always produce a valid non-periodic solution.
+
+Each family writes its words once, as one function of its parameter
+words and its exponent that only concatenates and repeats; on the
+parameter lengths the same function gives the word lengths, which the
+letter budget reads.  One equation check certifies an instance: it
+raises ValueError for a non-solution, RuntimeError for a periodic one.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import log10
 
-from .equations import EquationInstance, Exponents, check, is_periodic_solution
+from .equations import EquationInstance, Exponents, is_periodic_solution
 from .words import ParameterError, alphabet, commutes
 
 
@@ -28,26 +34,32 @@ class CommutingParametersError(ValueError):
     """Family parameters must be non-empty and non-commuting."""
 
 
-def _require_noncommuting(p: str, q: str, names: str) -> None:
+# Each family's x, y, u and v from its parameter words (or their lengths) and its exponent.
+def _j2_words(alpha, beta, k):
+    ak = alpha * k
+    x = alpha * (2 * k + 1) + (beta + ak) * 2
+    y = beta + ak
+    v = (ak + beta) * 2 + (alpha * (3 * k + 1) + beta + ak + beta) * k
+    return x, y, alpha, v
+
+
+def _i1k1_words(alpha, gamma, j):
+    v = alpha + gamma * j + alpha
+    x = alpha + v * ((j - 1) // 2) + alpha
+    return x, gamma, alpha, v
+
+
+def _family(label: str, exps: Exponents, words, p: str, q: str, n: int, names: str) -> EquationInstance:
+    # len maps concatenation to + and repetition to *: a morphism, as in validate_family_grid
+    lx, ly, _, _ = words(len(p), len(q), n)
+    letters = (exps.i + exps.k) * lx + exps.j * ly
+    if letters > _MAX_LETTERS:
+        raise ParameterError(f"the common value would have {letters} letters, more than {_MAX_LETTERS}")
     if not p or not q:
         raise CommutingParametersError(f"{names} must be non-empty")
     if commutes(p, q):
         raise CommutingParametersError(f"{names} = {p!r}, {q!r} commute")
-
-
-def _check_length(exps: Exponents, lx: int, ly: int) -> None:
-    # from the lengths of x and y alone, before any word is built
-    i, j, k = exps
-    n = (i + k) * lx + j * ly
-    if n > _MAX_LETTERS:
-        raise ParameterError(f"the common value would have {n} letters, more than {_MAX_LETTERS}")
-
-
-def _certify(inst: EquationInstance, label: str) -> EquationInstance:
-    # Both guarantees hold for every non-commuting parameter choice;
-    # failing here would mean the construction itself is wrong.
-    if not check(inst):
-        raise RuntimeError(f"family {label} produced a non-solution: {inst}")
+    inst = EquationInstance(exps, *words(p, q, n))
     if is_periodic_solution(inst):
         raise RuntimeError(f"family {label} produced a periodic solution: {inst}")
     return inst
@@ -63,15 +75,7 @@ def family_j2(alpha: str, beta: str, k: int = 1) -> EquationInstance:
     """
     if k < 1:
         raise ParameterError("k must be >= 1")
-    exps = Exponents(k + 1, 2, k)
-    _check_length(exps, (4 * k + 1) * len(alpha) + 2 * len(beta), len(beta) + k * len(alpha))
-    _require_noncommuting(alpha, beta, "alpha and beta")
-    ak = alpha * k
-    x = alpha * (2 * k + 1) + (beta + ak) * 2
-    y = beta + ak
-    v = (ak + beta) * 2 + (alpha * (3 * k + 1) + beta + ak + beta) * k
-    inst = EquationInstance(exps, x, y, alpha, v)
-    return _certify(inst, "j2")
+    return _family("j2", Exponents(k + 1, 2, k), _j2_words, alpha, beta, k, "alpha and beta")
 
 
 def family_i1k1(alpha: str, gamma: str, j: int = 3) -> EquationInstance:
@@ -83,14 +87,7 @@ def family_i1k1(alpha: str, gamma: str, j: int = 3) -> EquationInstance:
     """
     if j < 3 or j % 2 == 0:
         raise ParameterError("beta^2 = v^(j-1) has a word solution only for odd j >= 3")
-    exps = Exponents(1, j, 1)
-    _check_length(exps, 2 * len(alpha) + (j - 1) // 2 * (2 * len(alpha) + j * len(gamma)), len(gamma))
-    _require_noncommuting(alpha, gamma, "alpha and gamma")
-    v = alpha + gamma * j + alpha
-    beta = v * ((j - 1) // 2)
-    x = alpha + beta + alpha
-    inst = EquationInstance(exps, x, gamma, alpha, v)
-    return _certify(inst, "i1k1")
+    return _family("i1k1", Exponents(1, j, 1), _i1k1_words, alpha, gamma, j, "alpha and gamma")
 
 
 @dataclass(frozen=True)
@@ -129,7 +126,8 @@ def validate_family_grid(
     injective one keeps non-commuting words non-commuting, so it keeps
     a non-periodic solution non-periodic.  Certifying
     family_j2("a", "b", k) and family_i1k1("a", "b", j) therefore
-    certifies the whole grid; a failure raises RuntimeError.
+    certifies the whole grid.  A certificate that fails raises ValueError
+    for a non-solution and RuntimeError for a periodic solution.
 
     The pairs are counted in closed form.  Non-empty words commute
     exactly when they are powers of one primitive word.  With

@@ -257,11 +257,23 @@ MUTANTS = [
     Mutant("expansion never takes the translate", CODES,
            'if "y" in x else None', "if False else None",
            (CODE_TESTS + "test_expansion_table_takes_code_letters_in_either_word",)),
-    # the letter budget of a single family instance
+    # the letter budget of a single family instance, read off its words function
     Mutant("letter budget one letter short", FAMILIES,
-           "if n > _MAX_LETTERS:", "if n >= _MAX_LETTERS:",
+           "if letters > _MAX_LETTERS:", "if letters >= _MAX_LETTERS:",
            (FAMILY_TESTS + "test_family_builds_a_common_value_of_the_letter_budget[j2]",
             FAMILY_TESTS + "test_family_builds_a_common_value_of_the_letter_budget[i1k1]")),
+    Mutant("budget reads the parameter lengths swapped", FAMILIES,
+           "words(len(p), len(q), n)", "words(len(q), len(p), n)",
+           (FAMILY_TESTS + "test_family_builds_a_common_value_of_the_letter_budget[j2]",
+            FAMILY_TESTS + "test_family_builds_a_common_value_of_the_letter_budget[i1k1]",
+            FAMILY_TESTS + "test_family_refuses_a_common_value_over_the_letter_budget[j2]",
+            FAMILY_TESTS + "test_family_refuses_a_common_value_over_the_letter_budget[i1k1]")),
+    # u and v from (q, p): the one certificate fails tests that read only counts and lengths
+    Mutant("words built from swapped parameters", FAMILIES,
+           "EquationInstance(exps, *words(p, q, n))",
+           "EquationInstance(exps, *words(p, q, n)[:2], *words(q, p, n)[2:])",
+           (FAMILY_TESTS + "test_grid_tiny",
+            FAMILY_TESTS + "test_letter_budget_keeps_the_grids_instances")),
 ]
 
 

@@ -221,6 +221,24 @@ def test_family_missing_word_is_usage_error(capsys, argv, flag):
     assert f"error: {flag} is required" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    ("family --family j2 --alpha a --beta b --param-j 5", "--param-j"),
+    ("family --family j2 --alpha a --beta b --gamma b", "--gamma"),
+    ("family --family i1k1 --alpha ab --gamma b --param-k 4", "--param-k"),
+    ("family --family i1k1 --alpha a --gamma b --max-len 3", "--max-len"),
+    ("family --family grid --alpha zz", "--alpha"),
+    ("family --family grid --beta b --param-k 2", "--beta"),
+])
+def test_family_refuses_a_flag_it_does_not_read(capsys, argv, flag):
+    family = argv.split()[2]
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    out, err = capsys.readouterr()
+    assert exc.value.code == 64
+    assert out == ""
+    assert err.endswith(f"error: family {family} does not read {flag}\n")
+
+
 def test_solve_short_pattern_not_forcing(capsys):
     code, out, _ = run_cli(capsys, "solve", "--i", "1", "--j", "1", "--k", "1",
                            "--max-len", "6", "--format", "json", "--shards", "1")
@@ -273,6 +291,11 @@ def test_lemmas_zero_is_usage_error():
     ("family --family grid --max-len 1520 --alphabet 26", 64),
     ("family --family grid --max-len 1520 --alphabet 26 --format json", 64),
     ("family --family grid --max-len 1000000000 --format json", 64),
+    ("family --family j2 --alpha a --beta b --param-j 5", 64),
+    ("family --family i1k1 --alpha ab --gamma b --param-k 4", 64),
+    ("family --family j2 --alpha a --beta b --max-len 9", 64),
+    ("family --family grid --gamma q", 64),
+    ("family --family grid --alpha zz", 64),
     ("verify --i 1 --j 0 --k 1 --alphabet 1 --max-len 1 --shards 0", 64),
     ("solve --i 2 --j 3 --k 1 --alphabet 27 --max-len 18", 64),
     ("lemmas --max-len -3", 64),

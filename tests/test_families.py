@@ -1,6 +1,6 @@
 import pytest
 
-from wordeq import families
+from wordeq import equations, families
 from wordeq.equations import Exponents, check, is_periodic_solution
 from wordeq.families import (
     CommutingParametersError,
@@ -159,3 +159,49 @@ def test_letter_budget_keeps_the_grids_instances():
     # the longest instances validate_family_grid builds, at max_k 500 and max_j 1001
     assert len(family_j2("a", "b", 500).lhs()) == 2_006_005
     assert len(family_i1k1("a", "b", 1001).lhs()) == 1_004_005
+
+
+WORDS_FUNCTIONS = [f for name, f in vars(families).items() if name.endswith("_words")]
+
+
+def test_every_family_has_a_words_function():
+    assert WORDS_FUNCTIONS == [families._j2_words, families._i1k1_words]
+
+
+@pytest.mark.parametrize("words", WORDS_FUNCTIONS, ids=lambda f: f.__name__)
+def test_words_function_on_lengths_gives_the_lengths_it_builds(words):
+    # the letter budget reads words(len(p), len(q), n) in place of the built words
+    params = list(all_words(3, "ab", 0))
+    cases = 0
+    for p in params:
+        for q in params:
+            for n in range(1, 8):
+                built = words(p, q, n)
+                assert words(len(p), len(q), n) == tuple(len(w) for w in built), (p, q, n)
+                cases += 1
+    assert cases == 15 * 15 * 7
+
+
+def test_each_instance_checks_the_equation_once(monkeypatch):
+    calls = []
+    real = equations.check
+
+    def spy(inst):
+        calls.append(inst)
+        return real(inst)
+
+    monkeypatch.setattr(equations, "check", spy)
+    # a family module that imported check itself would call it past the first spy
+    monkeypatch.setattr(families, "check", spy, raising=False)
+    for build, second, n in [(family_j2, "ba", 2), (family_i1k1, "b", 5)]:
+        calls.clear()
+        inst = build("a", second, n)
+        assert calls == [inst]
+
+
+def test_a_failed_certificate_names_what_failed():
+    exps = Exponents(1, 1, 1)
+    with pytest.raises(ValueError, match="^not a solution$"):
+        families._family("t", exps, lambda p, q, n: (p, q, q, p), "a", "b", 1, "p and q")
+    with pytest.raises(RuntimeError, match="^family t produced a periodic solution"):
+        families._family("t", exps, lambda p, q, n: (p, p, p, p), "a", "b", 1, "p and q")
