@@ -4,13 +4,13 @@ Each check asserts the lemma's conclusion verbatim on every input
 within its bound, counting some cases in closed form or by symmetry,
 each way proven equal to the enumeration.  The largest pass, the walk
 over code pairs, checks the first member of each symmetry class of
-codes and counts its cases by the class's size, walks every code once
-a check fails, and expands only the code words whose letter counts
-leave room for a power.  The checks are universally quantified
-statements, so shrinking a bound can only shrink the case count, never
-flip a verdict.  ``run_lemma_suite`` runs all fourteen with bounds
-derived from a single size knob whose default reproduces the
-documented desk-scale ranges.
+codes and counts its cases by the class's size, checks every code not
+yet counted on its own from the first failure on, and expands only
+the code words whose letter counts leave room for a power.  The checks
+are universally quantified statements, so shrinking a bound can only
+shrink the case count, never flip a verdict.  ``run_lemma_suite`` runs
+all fourteen with bounds derived from a single size knob whose default
+reproduces the documented desk-scale ranges.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .codes import (
+    SHAPE_EMPTY,
+    SHAPE_X_CENTERED,
     BinaryCode,
     CodeWord,
     classify_imprimitive_set,
@@ -295,26 +297,15 @@ def check_conjugacy_transfer(max_u_len: int = 5, max_z_len: int = 7) -> OracleRe
 _AB_SWAP = str.maketrans("ab", "ba")
 
 
-def _code_classes(max_word_len: int) -> Iterator[tuple[str, str, int]]:
-    """(x, y, size) for the first code pair met of each symmetry class, in walk order.
+def _symmetry_class(x: str, y: str) -> set[tuple[str, str]]:
+    """The symmetry class of a code pair: its images under the a/b swap, reversal and the x/y swap.
 
-    The walk is _noncommuting_pairs.  A class is a pair's images under
-    swapping the letters a and b, reversing x and y, and swapping x and
-    y: up to eight pairs, at least two since x != y.  Every image is a
-    non-commuting pair of the same lengths, so the class's other members
-    come later in the walk; each is dropped from ``met`` as the walk
-    meets it.
+    Up to eight pairs, at least two since x != y, each a non-commuting
+    pair of the same lengths as (x, y).
     """
-    met: set[tuple[str, str]] = set()
-    for x, y in _noncommuting_pairs(max_word_len):
-        if (x, y) in met:
-            met.remove((x, y))
-            continue
-        sx, sy = x.translate(_AB_SWAP), y.translate(_AB_SWAP)
-        images = {(x, y), (x[::-1], y[::-1]), (sx, sy), (sx[::-1], sy[::-1])}
-        images |= {(gy, gx) for gx, gy in images}
-        met |= images - {(x, y)}
-        yield x, y, len(images)
+    sx, sy = x.translate(_AB_SWAP), y.translate(_AB_SWAP)
+    images = {(x, y), (x[::-1], y[::-1]), (sx, sy), (sx[::-1], sy[::-1])}
+    return images | {(gy, gx) for gx, gy in images}
 
 
 def _check_code(
@@ -350,10 +341,10 @@ def _check_code(
     except RuntimeError as err:
         set_shape.record(False, "%s", err)
         return
-    if result.shape == "empty":
+    if result.shape == SHAPE_EMPTY:
         ok = result.k is None and not result.members
     else:
-        repeated, single = ("x", "y") if result.shape == "x-centered" else ("y", "x")
+        repeated, single = ("x", "y") if result.shape == SHAPE_X_CENTERED else ("y", "x")
         k = result.k or 0
         expected = {repeated * i + single + repeated * (k - i) for i in range(k + 1)}
         ok = k >= 1 and {c.letters for c in result.members} == expected
@@ -372,8 +363,10 @@ def _code_pair_checks(max_word_len: int, max_exp: int, max_code_len: int) -> lis
     max_code_len 0 leaves every table empty.  A cross-set count above
     one lists that code's own hits for its failure description.
 
-    The four checks run on the first member of each symmetry class, and
-    its case counts are counted once per member, by the class's size.
+    The four checks run on the first member met of each symmetry class
+    (``_symmetry_class``), and its case counts are counted once per
+    member, by the class's size; the walk then skips the other members,
+    which come later, as it meets them.
     That is exact: a member's table is the first one's with each code
     word w mapped to its image w' (reversed and/or x and y swapped), so
     the cases, one per entry and per divisor of its exponent, match,
@@ -393,27 +386,27 @@ def _code_pair_checks(max_word_len: int, max_exp: int, max_code_len: int) -> lis
       every member has as many hits.
 
     So a class whose first member fails nothing has no failing member.
-    Once a first member fails anything, the walk starts again with
-    fresh counts and checks every code with its own table, so the
-    failure texts and their order are those of a walk that checks every
-    code.  Every class holds (x, y) and (y, x), so only the class walk
-    meets a size above one.
+    From the first failure on, every code not yet counted is checked
+    with its own table, so the counts, the failure texts and their order
+    are those of a walk that checks every code.
     """
     groups = letter_count_groups(lyndon_words(max_code_len))
-    every_code = ((x, y, 1) for x, y in _noncommuting_pairs(max_word_len))
-    for walk in (_code_classes(max_word_len), every_code):
-        recorders = cross, conjugacy, set_shape, power_shape = [_Recorder() for _ in range(4)]
-        for x, y, size in walk:
-            cases = [rec.cases for rec in recorders]
-            code = BinaryCode(x, y)
-            hits = [c.letters for c in imprimitive_in_cross_set(code, max_exp)]
-            _check_code(code, imprimitive_table(x, y, groups), hits, *recorders)
-            if size > 1 and any(rec.failures for rec in recorders):
-                break
-            for rec, n in zip(recorders, cases):
-                rec.cases += (rec.cases - n) * (size - 1)
-        else:
-            break
+    recorders = cross, conjugacy, set_shape, power_shape = [_Recorder() for _ in range(4)]
+    counted: set[tuple[str, str]] = set()
+    for x, y in _noncommuting_pairs(max_word_len):
+        if (x, y) in counted:
+            counted.remove((x, y))
+            continue
+        cases = [rec.cases for rec in recorders]
+        code = BinaryCode(x, y)
+        hits = [c.letters for c in imprimitive_in_cross_set(code, max_exp)]
+        _check_code(code, imprimitive_table(x, y, groups), hits, *recorders)
+        if any(rec.failures for rec in recorders):
+            continue
+        others = _symmetry_class(x, y) - {(x, y)}
+        counted |= others
+        for rec, n in zip(recorders, cases):
+            rec.cases += (rec.cases - n) * len(others)
     return [
         cross.result("cross-set-imprimitivity"),
         conjugacy.result("imprimitive-conjugacy"),

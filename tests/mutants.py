@@ -56,6 +56,7 @@ FACTOR_COUNTS = (LEMMAS + "test_suite_case_counts_at_knob_5",
                  LEMMAS + "test_power_factor_passes_match_the_separate_scans[3-3]",
                  LEMMAS + "test_factor_pair_pass_keeps_the_grouped_walks_failures[<lambda>3-4-3-default]")
 CLASSES = (LEMMAS + "test_code_pair_pass_checks_each_clean_class_once[length-8k]",)
+FAILED_CLASS = "if any(rec.failures for rec in recorders):\n            continue"
 FACTOR_ORDER = (LEMMAS + "test_factor_pair_pass_keeps_the_grouped_walks_failures[<lambda>0-4-3-all]",
                 LEMMAS + "test_factor_pair_pass_keeps_the_grouped_walks_failures[<lambda>3-5-4-all]")
 
@@ -218,17 +219,21 @@ MUTANTS = [
            (CODE_TESTS + "test_expand_rejects_letters_outside_xy",)),
     # one check per symmetry class, counted by its size, and the letter-count groups
     Mutant("class size off by one", ORACLES,
-           "yield x, y, len(images)", "yield x, y, len(images) - 1",
-           (LEMMAS + "test_code_classes_partition_the_walk[2]",
-            LEMMAS + "test_suite_case_counts_at_knob_6",
+           "others = _symmetry_class(x, y) - {(x, y)}", "others = _symmetry_class(x, y)",
+           (LEMMAS + "test_suite_case_counts_at_knob_6",
+            LEMMAS + "test_code_pair_walk_matches_every_codes_own_scan[4-6-5]",
             PIN + "[lemmas-7]")),
     Mutant("no second pass after a failing class", ORACLES,
-           "if size > 1 and any(rec.failures for rec in recorders):", "if False:",
+           FAILED_CLASS, "if any(rec.failures for rec in recorders):\n            break",
            CLASSES + (LEMMAS + "test_code_pair_walk_checks_each_table[length-7k]",
                       LEMMAS + "test_code_pair_walk_checks_each_table[length-7k-default]")),
     Mutant("second pass over the class starts only", ORACLES,
-           "((x, y, 1) for x, y in _noncommuting_pairs(max_word_len))",
-           "((x, y, 1) for x, y, _ in _code_classes(max_word_len))",
+           FAILED_CLASS,
+           FAILED_CLASS.replace("continue", "counted |= _symmetry_class(x, y)\n            continue"),
+           CLASSES + (LEMMAS + "test_code_pair_walk_checks_each_table[length-7k]",
+                      LEMMAS + "test_code_pair_walk_checks_each_table[length-7k-default]")),
+    Mutant("classes still counted whole after a failure", ORACLES,
+           "\n        " + FAILED_CLASS, "",
            CLASSES + (LEMMAS + "test_code_pair_walk_checks_each_table[length-7k]",
                       LEMMAS + "test_code_pair_walk_checks_each_table[length-7k-default]")),
     Mutant("class set without the reversed a/b swap", ORACLES,
@@ -239,12 +244,14 @@ MUTANTS = [
     # equivalent in every oracle result: without the x/y-swap images the
     # classes split into their orbits under the a/b swap and reversal.
     # Those still partition the pairs, and each is counted exactly by its
-    # own size, by the argument of _code_pair_checks.  A failing code makes
-    # the start of its orbit fail as it makes the start of its class fail,
-    # so both walks go on to the same second pass.  Only the work differs:
-    # the partition test and the spy on the checks see the extra starts.
+    # own size, by the argument of _code_pair_checks.  The first failing
+    # pair of the walk starts its orbit as it starts its class, so both
+    # walks fail first at the same pair, and from there on each checks
+    # every pair it has not counted; neither has counted a failing pair.
+    # Only the work differs: the partition test and the spy on the checks
+    # see the extra starts.
     Mutant("class set without the x/y-swap images", ORACLES,
-           "images |= {(gy, gx) for gx, gy in images}", "pass",
+           "return images | {(gy, gx) for gx, gy in images}", "return images",
            (LEMMAS + "test_code_classes_partition_the_walk[2]",
             LEMMAS + "test_code_pair_pass_checks_each_clean_class_once[real]")),
     Mutant("letter-count groups with gcd 2 skipped", CODES,

@@ -6,7 +6,8 @@ usage text on a usage error, is not hashed.  Output from a set is printed
 sorted, so no pin depends on ``PYTHONHASHSEED``.  A hash changes only by an
 edit to ``PINS`` that CHANGES.md names; ``PYTHONPATH=src python <args> |
 sha256sum`` shows a command's hash.  Every script in ``demos/`` is a pin,
-and the docstring examples of every ``wordeq`` module run here too.
+and the docstring examples of every ``wordeq`` module and of README.md's
+library quick start run here too.
 """
 
 import doctest
@@ -170,3 +171,8 @@ def test_every_demo_is_pinned():
 @pytest.mark.parametrize("name", MODULES)
 def test_docstring_examples(name):
     assert doctest.testmod(importlib.import_module(name)).failed == 0
+
+
+def test_readme_examples():
+    result = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
+    assert result.attempted > 0 and result.failed == 0
