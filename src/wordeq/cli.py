@@ -14,9 +14,10 @@ import argparse
 import functools
 import json
 import sys
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .equations import (
+    EquationInstance,
     Exponents,
     SolutionReport,
     enumerate_solutions,
@@ -33,13 +34,16 @@ EX_LEMMA = 3
 EX_USAGE = 64
 EX_DATA = 65
 
+# what each command returns: its JSON object, its text lines and its exit code
+Output = tuple[object, Iterable[str], int]
+
 # each instance family: its builder, its second parameter word and its exponent
 FAMILIES = {"j2": (family_j2, "beta", "k"), "i1k1": (family_i1k1, "gamma", "j")}
-# the flags only some families read, with their defaults; argparse leaves
-# them None, so that a flag the chosen family does not read can be refused
-FAMILY_FLAGS = {"alpha": None, "beta": None, "gamma": None, "param_k": 1, "param_j": 3, "max_len": 2}
-FAMILY_READS = {"grid": {"max_len", "param_k", "param_j"},
-                **{name: {"alpha", second, f"param_{exp}"} for name, (_, second, exp) in FAMILIES.items()}}
+# the flags each family reads, with their defaults (None: required); argparse
+# leaves them None, so that a flag the chosen family does not read can be refused
+FAMILY_FLAGS = {"j2": {"alpha": None, "beta": None, "param_k": 1},
+                "i1k1": {"alpha": None, "gamma": None, "param_j": 3},
+                "grid": {"max_len": 2, "param_k": 1, "param_j": 3}}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,19 +111,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report_text(report: SolutionReport) -> None:
+def _report_lines(report: SolutionReport, *tail: str) -> Iterator[str]:
     i, j, k = report.exps
-    print(f"pattern a^{i} b^{j} a^{k}, alphabet {report.alphabet_size}, bound {report.bound}")
-    print(f"total solutions: {report.total_solutions}")
+    yield f"pattern a^{i} b^{j} a^{k}, alphabet {report.alphabet_size}, bound {report.bound}"
+    yield f"total solutions: {report.total_solutions}"
     if report.periodic_only:
-        print("non-periodic solutions: none")
+        yield "non-periodic solutions: none"
     else:
-        print(f"non-periodic orbits: {len(report.nonperiodic)}")
+        yield f"non-periodic orbits: {len(report.nonperiodic)}"
         for inst in report.nonperiodic:
-            print(f"witness: x={inst.x!r} y={inst.y!r} u={inst.u!r} v={inst.v!r}")
+            yield f"witness: x={inst.x!r} y={inst.y!r} u={inst.u!r} v={inst.v!r}"
+    yield from tail
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def _instance_lines(family: str, inst: EquationInstance) -> Iterator[str]:
+    i, j, k = inst.exps
+    yield f"family {family}: solution of x^{i} y^{j} x^{k} = u^{i} v^{j} u^{k}"
+    for name, word in zip("xyuv", inst.words()):
+        yield f"{name} = {word}"
+    common = inst.lhs()
+    yield f"common value ({len(common)} letters): {common}"
+
+
+def cmd_verify(args: argparse.Namespace) -> Output:
     exps = Exponents(args.i, args.j, args.k)
     verdict = forcing_verdict(exps, args.alphabet, args.max_len, shards=args.shards)
     if not theorem_applies(exps):
@@ -128,105 +142,73 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "forcing range (j >= 3, i + k >= 3, i k != 0); running anyway",
             file=sys.stderr,
         )
-    if args.format == "json":
-        print(verdict.to_json(), end="")
-    else:
-        _report_text(verdict.report)
-        print(f"forced up to bound: {'yes' if verdict.forced_up_to_bound else 'no'}")
-    return EX_OK if verdict.forced_up_to_bound else EX_WITNESS
+    forced = verdict.forced_up_to_bound
+    lines = _report_lines(verdict.report, f"forced up to bound: {'yes' if forced else 'no'}")
+    return verdict.to_json_obj(), lines, EX_OK if forced else EX_WITNESS
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
+def cmd_solve(args: argparse.Namespace) -> Output:
     report = enumerate_solutions(
         (args.i, args.j, args.k), args.alphabet, args.max_len,
         distinct_only=args.distinct_only, shards=args.shards,
     )
-    if args.format == "json":
-        print(report.to_json(), end="")
-    else:
-        _report_text(report)
-    return EX_OK if report.periodic_only else EX_WITNESS
+    return report.to_json_obj(), _report_lines(report), EX_OK if report.periodic_only else EX_WITNESS
 
 
-def cmd_family(args: argparse.Namespace) -> int:
-    for name, default in FAMILY_FLAGS.items():
-        if getattr(args, name) is None:
-            setattr(args, name, default)
-        elif name not in FAMILY_READS[args.family]:
+def cmd_family(args: argparse.Namespace) -> Output:
+    reads = FAMILY_FLAGS[args.family]
+    for name in (name for flags in FAMILY_FLAGS.values() for name in flags if name not in reads):
+        if getattr(args, name) is not None:
             args.subparser.error(f"family {args.family} does not read --{name.replace('_', '-')}")
+    flag = {}
+    for name, default in reads.items():
+        flag[name] = default if getattr(args, name) is None else getattr(args, name)
+        if flag[name] is None:
+            required = f"--{name.replace('_', '-')} is required"
+            args.subparser.error(required if name == "alpha" else f"{required} for family {args.family}")
 
     if args.family == "grid":
-        summary = validate_family_grid(args.max_len, args.param_k, args.param_j, args.alphabet)
-        if args.format == "json":
-            obj = {
-                "pairs": summary.pairs,
-                "j2_instances": summary.j2_instances,
-                "i1k1_instances": summary.i1k1_instances,
-                "total": summary.total,
-                "all_valid": True,
-            }
-            print(json.dumps(obj, indent=2))
-        else:
-            print(f"parameter pairs: {summary.pairs}")
-            print(f"instances checked: {summary.total} "
-                  f"({summary.j2_instances} with j=2, {summary.i1k1_instances} with i=k=1)")
-            print("all valid and non-periodic")
-        return EX_OK
+        summary = validate_family_grid(flag["max_len"], flag["param_k"], flag["param_j"], args.alphabet)
+        obj = {**vars(summary), "total": summary.total, "all_valid": True}
+        lines = [f"parameter pairs: {summary.pairs}",
+                 f"instances checked: {summary.total} "
+                 f"({summary.j2_instances} with j=2, {summary.i1k1_instances} with i=k=1)",
+                 "all valid and non-periodic"]
+        return obj, lines, EX_OK
 
     build, second_name, exp_name = FAMILIES[args.family]
-    second, exp = getattr(args, second_name), getattr(args, f"param_{exp_name}")
-    if args.alpha is None:
-        args.subparser.error("--alpha is required")
-    if second is None:
-        args.subparser.error(f"--{second_name} is required for family {args.family}")
-    check_letters(args.alpha, args.alphabet)
+    alpha, second, exp = flag["alpha"], flag[second_name], flag[f"param_{exp_name}"]
+    check_letters(alpha, args.alphabet)
     check_letters(second, args.alphabet)
-
-    try:
-        inst = build(args.alpha, second, exp)
-    except CommutingParametersError as err:
-        print(f"wordeq family: {err}", file=sys.stderr)
-        return EX_DATA
-
-    if args.format == "json":
-        obj = inst.to_json_obj()
-        obj["family"] = args.family
-        obj["params"] = {"alpha": args.alpha, second_name: second, exp_name: exp}
-        print(json.dumps(obj, indent=2))
-    else:
-        i, j, k = inst.exps
-        print(f"family {args.family}: solution of x^{i} y^{j} x^{k} = u^{i} v^{j} u^{k}")
-        print(f"x = {inst.x}")
-        print(f"y = {inst.y}")
-        print(f"u = {inst.u}")
-        print(f"v = {inst.v}")
-        print(f"common value ({len(inst.lhs())} letters): {inst.lhs()}")
-    return EX_OK
+    inst = build(alpha, second, exp)
+    obj = inst.to_json_obj()
+    obj["family"] = args.family
+    obj["params"] = {"alpha": alpha, second_name: second, exp_name: exp}
+    return obj, _instance_lines(args.family, inst), EX_OK
 
 
-def cmd_lemmas(args: argparse.Namespace) -> int:
+def cmd_lemmas(args: argparse.Namespace) -> Output:
     results = run_lemma_suite(args.max_len)
-    if args.format == "json":
-        print(json.dumps([r.to_json_obj() for r in results], indent=2))
-    else:
-        for r in results:
-            if r.passed:
-                print(f"PASS {r.name} ({r.cases} cases)")
-            else:
-                print(f"FAIL {r.name}: {r.failures[0]}")
-    if all(r.passed for r in results):
-        return EX_OK
-    failed = next(r for r in results if not r.passed)
-    print(f"wordeq lemmas: {failed.name} violated: {failed.failures[0]}", file=sys.stderr)
-    return EX_LEMMA
+    obj = [r.to_json_obj() for r in results]
+    lines = (f"PASS {r.name} ({r.cases} cases)" if r.passed else f"FAIL {r.name}: {r.failures[0]}"
+             for r in results)
+    failed = [r for r in results if not r.passed]
+    if failed:
+        print(f"wordeq lemmas: {failed[0].name} violated: {failed[0].failures[0]}", file=sys.stderr)
+    return obj, lines, EX_LEMMA if failed else EX_OK
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        obj, lines, code = args.run(args)
     except ParameterError as err:
         args.subparser.error(str(err))
+    except CommutingParametersError as err:
+        print(f"{args.subparser.prog}: {err}", file=sys.stderr)
+        return EX_DATA
+    print(json.dumps(obj, indent=2) if args.format == "json" else "\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

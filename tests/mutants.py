@@ -34,11 +34,13 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+CLI = "src/wordeq/cli.py"
 CODES = "src/wordeq/codes.py"
 EQUATIONS = "src/wordeq/equations.py"
 FAMILIES = "src/wordeq/families.py"
 ORACLES = "src/wordeq/oracles.py"
 WORDS = "src/wordeq/words.py"
+CLI_TESTS = "tests/test_cli.py::"
 CODE_TESTS = "tests/test_codes.py::"
 EQ = "tests/test_equations.py::"
 FAMILY_TESTS = "tests/test_families.py::"
@@ -57,6 +59,8 @@ FACTOR_COUNTS = (LEMMAS + "test_suite_case_counts_at_knob_5",
                  LEMMAS + "test_factor_pair_pass_keeps_the_grouped_walks_failures[<lambda>3-4-3-default]")
 CLASSES = (LEMMAS + "test_code_pair_pass_checks_each_clean_class_once[length-8k]",)
 FAILED_CLASS = "if any(rec.failures for rec in recorders):\n            continue"
+DEFAULTS = CLI_TESTS + "test_family_flags_left_out_take_their_defaults"
+REFUSES = CLI_TESTS + "test_family_refuses_a_flag_it_does_not_read[family --family "
 FACTOR_ORDER = (LEMMAS + "test_factor_pair_pass_keeps_the_grouped_walks_failures[<lambda>0-4-3-all]",
                 LEMMAS + "test_factor_pair_pass_keeps_the_grouped_walks_failures[<lambda>3-5-4-all]")
 
@@ -281,6 +285,33 @@ MUTANTS = [
            "EquationInstance(exps, *words(p, q, n)[:2], *words(q, p, n)[2:])",
            (FAMILY_TESTS + "test_grid_tiny",
             FAMILY_TESTS + "test_letter_budget_keeps_the_grids_instances")),
+    # the CLI's one printer and its table of the flags each family reads
+    Mutant("output format test inverted", CLI,
+           'if args.format == "json" else', 'if args.format != "json" else',
+           (CLI_TESTS + "test_lemmas_json", CLI_TESTS + "test_family_j2_json",
+            CLI_TESTS + "test_solve_text_lists_each_witness", CLI_TESTS + "test_family_grid_text",
+            PIN + "[verify-131-17]")),
+    Mutant("j2 default k = 2", CLI,
+           '"beta": None, "param_k": 1}', '"beta": None, "param_k": 2}',
+           (DEFAULTS + "[j2-text]", DEFAULTS + "[j2-json]")),
+    Mutant("grid default max-len 3", CLI,
+           '"grid": {"max_len": 2,', '"grid": {"max_len": 3,',
+           (DEFAULTS + "[grid-text]", DEFAULTS + "[grid-json]")),
+    Mutant("foreign family flags read, not refused", CLI,
+           "if getattr(args, name) is not None:", "if False:",
+           (REFUSES + "j2 --alpha a --beta b --param-j 5---param-j]",
+            REFUSES + "j2 --alpha a --beta b --gamma b---gamma]",
+            REFUSES + "i1k1 --alpha ab --gamma b --param-k 4---param-k]",
+            REFUSES + "i1k1 --alpha a --gamma b --max-len 3---max-len]",
+            REFUSES + "grid --alpha zz---alpha]",
+            REFUSES + "grid --beta b --param-k 2---beta]")),
+    Mutant("commuting family words not mapped to exit 65", CLI,
+           "    except CommutingParametersError as err:\n"
+           '        print(f"{args.subparser.prog}: {err}", file=sys.stderr)\n'
+           "        return EX_DATA\n", "",
+           (CLI_TESTS + "test_family_commuting_parameters_exit_65",
+            CLI_TESTS + "test_exit_code_with_several_invalid_arguments[family --family j2 --alpha a --beta aa-65]",
+            PIN + "[j2-commuting]")),
 ]
 
 

@@ -6,9 +6,10 @@ import pytest
 
 from wordeq import cli
 from wordeq.cli import main
-from wordeq.equations import EquationInstance, Exponents, canonical_instance, enumerate_solutions
+from wordeq.equations import (EquationInstance, Exponents, canonical_instance, enumerate_solutions,
+                              forcing_verdict)
 from wordeq.families import family_i1k1, family_j2, validate_family_grid
-from wordeq.oracles import run_lemma_suite
+from wordeq.oracles import OracleResult, run_lemma_suite
 from wordeq.words import ParameterError, alphabet, check_letters
 
 
@@ -208,6 +209,19 @@ def test_family_grid_prints_counts_up_to_4300_digits(capsys, fmt):
     assert str(total) in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv, defaults", [
+    ("family --family j2 --alpha a --beta b", "--param-k 1"),
+    ("family --family i1k1 --alpha a --gamma b", "--param-j 3"),
+    ("family --family grid", "--max-len 2 --param-k 1 --param-j 3"),
+], ids=["j2", "i1k1", "grid"])
+def test_family_flags_left_out_take_their_defaults(capsys, argv, defaults, fmt):
+    left_out = run_cli(capsys, *argv.split(), "--format", fmt)
+    given = run_cli(capsys, *argv.split(), *defaults.split(), "--format", fmt)
+    assert left_out == given
+    assert left_out[0] == 0 and left_out[1]
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["family", "--family", "j2", "--beta", "b"], "--alpha"),
     (["family", "--family", "i1k1", "--alpha", "a"], "--gamma"),
@@ -248,15 +262,23 @@ def test_solve_short_pattern_not_forcing(capsys):
 
 
 def test_lemma_failure_exits_3(capsys, monkeypatch):
-    from wordeq import cli
-    from wordeq.oracles import OracleResult
-
     fake = [OracleResult("overlap-commutation", 5, ("s='ab' cut=1",))]
     monkeypatch.setattr(cli, "run_lemma_suite", lambda max_len: fake)
     code, out, err = run_cli(capsys, "lemmas")
     assert code == 3
     assert "FAIL overlap-commutation" in out
     assert "overlap-commutation" in err and "cut=1" in err
+
+
+def test_lemma_failure_in_json_exits_3(capsys, monkeypatch):
+    fake = [OracleResult("overlap-commutation", 5, ("s='ab' cut=1",)),
+            OracleResult("power-shape", 3, ())]
+    monkeypatch.setattr(cli, "run_lemma_suite", lambda max_len: fake)
+    code, out, err = run_cli(capsys, "lemmas", "--format", "json")
+    assert code == 3
+    assert out == json.dumps([r.to_json_obj() for r in fake], indent=2) + "\n"
+    assert [r["passed"] for r in json.loads(out)] == [False, True]
+    assert err == "wordeq lemmas: overlap-commutation violated: s='ab' cut=1\n"
 
 
 def test_lemmas_small(capsys):
@@ -266,7 +288,20 @@ def test_lemmas_small(capsys):
     assert len(lines) == 14
 
 
+@pytest.mark.parametrize("argv, library, code", [
+    ("verify --i 1 --j 3 --k 1 --max-len 17", lambda: forcing_verdict((1, 3, 1), 2, 17), 2),
+    ("verify --i 2 --j 3 --k 1 --max-len 18", lambda: forcing_verdict((2, 3, 1), 2, 18), 0),
+    ("solve --i 1 --j 2 --k 1 --max-len 12", lambda: enumerate_solutions((1, 2, 1), 2, 12), 2),
+    ("solve --i 2 --j 4 --k 2 --max-len 16", lambda: enumerate_solutions((2, 4, 2), 2, 16), 0),
+], ids=["verify-131-17", "verify-231-18", "solve-121-12", "solve-242-16"])
+def test_json_stdout_is_the_librarys_to_json(capsys, argv, library, code):
+    # perfbench's cli references were recorded from this stdout and are
+    # checked against the library's to_json(), so the two must not drift
+    assert run_cli(capsys, *argv.split(), "--format", "json")[:2] == (code, library().to_json())
+
+
 def test_lemmas_json(capsys):
+    # the lemmas half of test_json_stdout_is_the_librarys_to_json
     code, out, _ = run_cli(capsys, "lemmas", "--max-len", "3", "--format", "json")
     assert code == 0
     assert out == json.dumps([r.to_json_obj() for r in run_lemma_suite(3)], indent=2) + "\n"
