@@ -169,7 +169,7 @@ def cmd_family(args: argparse.Namespace) -> Output:
 
     if args.family == "grid":
         summary = validate_family_grid(flag["max_len"], flag["param_k"], flag["param_j"], args.alphabet)
-        obj = {**vars(summary), "total": summary.total, "all_valid": True}
+        obj = {**summary._asdict(), "total": summary.total, "all_valid": True}
         lines = [f"parameter pairs: {summary.pairs}",
                  f"instances checked: {summary.total} "
                  f"({summary.j2_instances} with j=2, {summary.i1k1_instances} with i=k=1)",

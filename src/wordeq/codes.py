@@ -7,9 +7,8 @@ represented by their code-letter sequence, a string over "xy".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .words import ParameterError, all_words, commutes, exponent, is_primitive
 
@@ -20,18 +19,23 @@ SHAPE_X_CENTERED = "x-centered"
 SHAPE_Y_CENTERED = "y-centered"
 
 
-@dataclass(frozen=True)
-class BinaryCode:
-    """An ordered pair of non-commuting words regarded as the code {x, y}."""
-
+# A NamedTuple body may not define __new__, so the checked types subclass one.
+class _Code(NamedTuple):
     x: str
     y: str
 
-    def __post_init__(self) -> None:
-        if not self.x or not self.y:
+
+class BinaryCode(_Code):
+    """An ordered pair of non-commuting words regarded as the code {x, y}."""
+
+    __slots__ = ()
+
+    def __new__(cls, x: str, y: str) -> BinaryCode:
+        if not x or not y:
             raise ValueError("code words must be non-empty")
-        if commutes(self.x, self.y):
-            raise ValueError(f"{self.x!r} and {self.y!r} commute, not a code")
+        if commutes(x, y):
+            raise ValueError(f"{x!r} and {y!r} commute, not a code")
+        return super().__new__(cls, x, y)
 
     def expand(self, letters: str) -> str:
         """Substitute x and y into a code-letter sequence."""
@@ -40,16 +44,20 @@ class BinaryCode:
         return letters.translate({ord("x"): self.x, ord("y"): self.y})
 
 
-@dataclass(frozen=True)
-class CodeWord:
-    """An element of {x, y}* given by its sequence of code letters."""
-
+class _CodeLetters(NamedTuple):
     code: BinaryCode
     letters: str
 
-    def __post_init__(self) -> None:
-        if self.letters.strip(CODE_LETTERS):
+
+class CodeWord(_CodeLetters):
+    """An element of {x, y}* given by its sequence of code letters."""
+
+    __slots__ = ()
+
+    def __new__(cls, code: BinaryCode, letters: str) -> CodeWord:
+        if letters.strip(CODE_LETTERS):
             raise ValueError(f"code letters must be over {CODE_LETTERS!r}")
+        return super().__new__(cls, code, letters)
 
     @property
     def expansion(self) -> str:
@@ -131,8 +139,7 @@ def imprimitive_in_cross_set(code: BinaryCode, max_exp: int) -> list[CodeWord]:
     return found
 
 
-@dataclass(frozen=True)
-class ImprimitiveSet:
+class ImprimitiveSet(NamedTuple):
     """The code-primitive words beyond x and y whose expansions are proper powers.
 
     The set is either empty or, for a single k >= 1, consists of exactly
@@ -254,8 +261,7 @@ def x_primitive_imprimitive_set(code: BinaryCode, max_code_len: int) -> Imprimit
     return classify_imprimitive_set(code, imprimitive_code_words(code, max_code_len))
 
 
-@dataclass(frozen=True)
-class PowerShape:
+class PowerShape(NamedTuple):
     """Shape of a code word: `repeated`^k single `repeated`^ell."""
 
     repeated: str

@@ -35,7 +35,6 @@ byte-identical for every shard count by construction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from heapq import merge
 from itertools import combinations, combinations_with_replacement, product
 from math import gcd
@@ -50,8 +49,7 @@ class Exponents(NamedTuple):
     k: int
 
 
-@dataclass(frozen=True)
-class EquationInstance:
+class EquationInstance(NamedTuple):
     """A candidate quadruple (x, y, u, v) for given exponents."""
 
     exps: Exponents
@@ -328,8 +326,7 @@ def canonical_instance(inst: EquationInstance, alphabet_size: int) -> EquationIn
     return EquationInstance(inst.exps, *min(map(_named, images)))
 
 
-@dataclass(frozen=True)
-class SolutionReport:
+class SolutionReport(NamedTuple):
     """Classified output of the enumeration.
 
     ``total_solutions`` counts the raw quadruples; ``nonperiodic`` holds
@@ -472,8 +469,7 @@ def enumerate_solutions(
                           distinct_only, allow_empty)
 
 
-@dataclass(frozen=True)
-class ForcingVerdict:
+class ForcingVerdict(NamedTuple):
     """Outcome of the bounded periodicity-forcing check for a^i b^j a^k."""
 
     report: SolutionReport

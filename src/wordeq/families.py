@@ -14,8 +14,8 @@ raises ValueError for a non-solution, RuntimeError for a periodic one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import log10
+from typing import NamedTuple
 
 from .equations import EquationInstance, Exponents, is_periodic_solution
 from .words import ParameterError, alphabet, commutes
@@ -90,8 +90,7 @@ def family_i1k1(alpha: str, gamma: str, j: int = 3) -> EquationInstance:
     return _family("i1k1", Exponents(1, j, 1), _i1k1_words, alpha, gamma, j, "alpha and gamma")
 
 
-@dataclass(frozen=True)
-class FamilyGridSummary:
+class FamilyGridSummary(NamedTuple):
     """Parameter pairs and instances covered by one grid validation.
 
     ``pairs`` counts the ordered non-commuting pairs of non-empty words

@@ -15,8 +15,7 @@ reproduces the documented desk-scale ranges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .codes import (
     SHAPE_EMPTY,
@@ -47,8 +46,7 @@ MAX_RECORDED_FAILURES = 3
 
 _XY_TO_AB = str.maketrans("xy", "ab")
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     name: str
     cases: int
     failures: tuple[str, ...]

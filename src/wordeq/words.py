@@ -8,9 +8,8 @@ call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -180,8 +179,7 @@ def periodicity_lemma_check(p: str, q: str, w: str) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class ConjugacyDecomposition:
+class ConjugacyDecomposition(NamedTuple):
     """The structure of all solutions of u z == z v.
 
     Every such relation is generated by a primitive seed sigma tau:

@@ -45,6 +45,7 @@ CODE_TESTS = "tests/test_codes.py::"
 EQ = "tests/test_equations.py::"
 FAMILY_TESTS = "tests/test_families.py::"
 LEMMAS = "tests/test_lemma_oracles.py::"
+RESULT_TESTS = "tests/test_result_types.py::"
 WORD_TESTS = "tests/test_words.py::"
 PIN = "tests/test_parity.py::test_output_is_pinned"
 TRANSFER = (WORD_TESTS + "test_transfer_decomposition_examples",
@@ -58,6 +59,7 @@ FACTOR_COUNTS = (LEMMAS + "test_suite_case_counts_at_knob_5",
                  LEMMAS + "test_power_factor_passes_match_the_separate_scans[3-3]",
                  LEMMAS + "test_factor_pair_pass_keeps_the_grouped_walks_failures[<lambda>3-4-3-default]")
 CLASSES = (LEMMAS + "test_code_pair_pass_checks_each_clean_class_once[length-8k]",)
+LETTER_TEST = "if letters.strip(CODE_LETTERS):"
 FAILED_CLASS = "if any(rec.failures for rec in recorders):\n            continue"
 DEFAULTS = CLI_TESTS + "test_family_flags_left_out_take_their_defaults"
 REFUSES = CLI_TESTS + "test_family_refuses_a_flag_it_does_not_read[family --family "
@@ -219,8 +221,17 @@ MUTANTS = [
             CODE_TESTS + "test_imprimitive_set_y_centered_exists",
             PIN + "[primitives-sweep]")),
     Mutant("expand reads letters outside xy", CODES,
-           "if letters.strip(CODE_LETTERS):", "if False:",
+           'code-letter sequence."""\n        ' + LETTER_TEST, 'code-letter sequence."""\n        if False:',
            (CODE_TESTS + "test_expand_rejects_letters_outside_xy",)),
+    # the constructor checks of the two result types that have them
+    Mutant("code of commuting words accepted", CODES,
+           "if commutes(x, y):", "if False:",
+           (CODE_TESTS + "test_binary_code_rejects_commuting_or_empty",
+            RESULT_TESTS + "test_constructor_checks_still_raise[commuting]")),
+    Mutant("code word of letters outside xy accepted", CODES,
+           "-> CodeWord:\n        " + LETTER_TEST, "-> CodeWord:\n        if False:",
+           (CODE_TESTS + "test_code_word_expansion",
+            RESULT_TESTS + "test_constructor_checks_still_raise[letter-z]")),
     # one check per symmetry class, counted by its size, and the letter-count groups
     Mutant("class size off by one", ORACLES,
            "others = _symmetry_class(x, y) - {(x, y)}", "others = _symmetry_class(x, y)",

@@ -61,7 +61,7 @@ import json
 from wordeq import (BinaryCode, all_words, classify_x_power, commutes, exponent,
                     power_factors, transfer_decomposition, x_primitive_imprimitive_set)
 ws = [""] + list(all_words(4, "ab"))
-out = [[u, z, *vars(transfer_decomposition(u, z, (u + z)[len(z):])).values()]
+out = [[u, z, *transfer_decomposition(u, z, (u + z)[len(z):])._asdict().values()]
        for u in ws[1:] for z in ws if u + z == z + (u + z)[len(z):]]
 out += [[p, n, sorted(power_factors(p, n))] for p in ws[:15] for n in range(7)]
 for x in ws[1:15]:
@@ -70,7 +70,7 @@ for x in ws[1:15]:
             code = BinaryCode(x, y)
             s = x_primitive_imprimitive_set(code, 6)
             out.append([x, y, s.to_json_obj(), [code.expand(c) for c in all_words(3, "xy")],
-                        [vars(classify_x_power(c, exponent(c.expansion))) for c in s.members]])
+                        [classify_x_power(c, exponent(c.expansion))._asdict() for c in s.members]])
 print(json.dumps(out))
 """
 
