@@ -11,21 +11,24 @@ shape, so a length tuple (|x|, |y|, |u|, |v|) is an ordered pair of
 sides (a, b) with (i + k) a + j b = n, the length of the common value,
 and the side swap swaps the pair.  For each n within the bound the two
 sides spell one word of length n, so the positions of x, y, u and v
-that meet at each of its n positions must carry the same letter.
-Union-find over those positions gives c classes, and the solutions are
-exactly the alphabet^c letter assignments to the classes; no word is
-guessed and checked.  A tuple with |u| = |x| forces u = x and v = y, so
-the trivial solutions are skipped without looking at any word.
+that meet at each of its n positions must carry the same letter.  Each
+position of x and y is named by the u or v position it first meets, so
+union-find over the positions of u and v alone gives the c classes,
+and the solutions are exactly the alphabet^c letter assignments to the
+classes; no word is guessed and checked.  A tuple with |u| = |x|
+forces u = x and v = y, so the trivial solutions are skipped without
+looking at any word.
 
 ``enumerate_solutions`` never lists the solutions: it walks n = 1, 2,
 ... and, for each n, the unordered pairs of its sides, so a tuple and its
 side swap are one visit.  It unions each primitive tuple (gcd 1) once,
 decides its multiples within the bound from the same classes copied per
 residue, computes ``total_solutions`` as the sum of alphabet^c over the
-tuples, and builds words only for non-periodic assignments, told by
-their class labels, one per symmetry orbit (see ``enumerate_solutions``
-for why that is exact and which images it names).  ``iter_solutions``
-stays the raw enumerator.
+tuples, once per pair of common-value length and class count, and
+builds words only for non-periodic assignments, told by their class
+labels, one per symmetry orbit (see ``enumerate_solutions`` for why that
+is exact and which images it names).  ``iter_solutions`` stays the raw
+enumerator.
 
 The search runs in one process.  The ``shards`` argument is accepted and
 validated for compatibility but starts no processes, so reports are
@@ -35,6 +38,7 @@ byte-identical for every shard count by construction.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from heapq import merge
 from itertools import combinations, combinations_with_replacement, product
 from math import gcd
@@ -127,16 +131,26 @@ def _sides(exps: Exponents, n: int, lo: int) -> list[tuple[int, int]]:
 def _union_positions(exps: Exponents, lx: int, ly: int, lu: int, lv: int) -> tuple[int, list[int]]:
     """Union the positions of x, y, u, v that meet in x^i y^j x^k = u^i v^j u^k.
 
-    Positions are numbered along x y u v.  Returns the class count and
-    the union-find forest, in which parent[p] <= p and each root is the
-    first position of its class.
+    Positions are numbered along x y u v.  Each position of x and y is
+    named by the u or v position it first meets in the common value:
+    x's from letter 0, or with i = 0 from the first letter of the
+    trailing x^k, and y's from letter i |x|.  So only the u and v
+    positions are unioned, and a pair that is such a first meeting is
+    already one position.  Returns the class count and the forest: each
+    x or y position points at the u or v position it first meets, and
+    among the u and v positions parent[p] <= p.
     """
     i, j, k = exps
-    xs, ys = list(range(lx)), list(range(lx, lx + ly))
-    us, vs = list(range(lx + ly, lx + ly + lu)), list(range(lx + ly + lu, lx + ly + lu + lv))
-    parent = list(range(lx + ly + lu + lv))
-    count = len(parent)
-    for p, q in zip(xs * i + ys * j + xs * k, us * i + vs * j + us * k):
+    b = lx + ly
+    us, vs = list(range(b, b + lu)), list(range(b + lu, b + lu + lv))
+    rhs = us * i + vs * j + us * k
+    x0 = 0 if i else j * ly
+    rx, ry = rhs[x0:x0 + lx], rhs[i * lx:i * lx + ly]
+    parent = rx + ry + us + vs  # the loop reads and writes u and v positions only
+    count = lu + lv
+    for p, q in zip(rx * i + ry * j + rx * k, rhs):
+        if p == q:
+            continue
         while p != parent[p]:
             parent[p] = p = parent[parent[p]]
         while q != parent[q]:
@@ -155,16 +169,18 @@ def _union_positions(exps: Exponents, lx: int, ly: int, lu: int, lv: int) -> tup
 
 
 def _first_occurrence_labels(parent: list[int]) -> list[int]:
-    """The class of every position of a ``_union_positions`` forest, numbered by first occurrence."""
+    """The class of every position of a ``_union_positions`` forest, numbered by first occurrence.
+
+    Each position is followed to its root, halving the path on the way,
+    and the roots are named 0, 1, 2, ... in the order positions reach
+    them along x y u v, so the labels depend on the partition alone.
+    """
+    names: dict[int, int] = {}
     label = []
-    named = 0
-    for p, q in enumerate(parent):
-        root = parent[p] = parent[q]  # q <= p, so q already points at its root
-        if root == p:
-            label.append(named)
-            named += 1
-        else:
-            label.append(label[root])
+    for q in parent:
+        while q != parent[q]:
+            parent[q] = q = parent[parent[q]]
+        label.append(names.setdefault(q, len(names)))
     return label
 
 
@@ -438,7 +454,7 @@ def enumerate_solutions(
     i, _, k = exps
     lo = 0 if allow_empty else 1
     pairs = combinations if distinct_only else combinations_with_replacement
-    total = 0
+    tally: Counter[tuple[int, int]] = Counter()  # (n, c(t0)): primitive tuples, side swaps included
     reps: list[tuple[str, str, str, str]] = []
     for n in range(1, max_total_len + 1):
         multiples = range(1, max_total_len // n + 1)
@@ -446,7 +462,7 @@ def enumerate_solutions(
             if gcd(lx, ly, lu, lv) > 1:
                 continue
             count, parent = _union_positions(exps, lx, ly, lu, lv)
-            total += (2 if lu > lx else 1) * sum(alphabet_size ** (g * count) for g in multiples)
+            tally[n, count] += 2 if lu > lx else 1
             if count == 1:
                 continue
             label = _first_occurrence_labels(parent)
@@ -463,6 +479,8 @@ def enumerate_solutions(
                     if not words[2].startswith(words[0]):
                         words = min(words, _named(words[2:] + words[:2]))
                     reps.append(words)
+    total = sum(tuples * sum(alphabet_size ** (g * count) for g in range(1, max_total_len // n + 1))
+                for (n, count), tuples in tally.items())
     reps.sort()
     nonperiodic = tuple(EquationInstance(exps, *words) for words in reps)
     return SolutionReport(exps, alphabet_size, max_total_len, total, nonperiodic,

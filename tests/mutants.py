@@ -164,11 +164,34 @@ MUTANTS = [
     Mutant("factor-pair failures sorted without the group's first start", ORACLES,
            "sorted((lu, first[a], a, b, args)", "sorted((lu, a, b, args)",
            FACTOR_ORDER),
+    # the union over u and v positions only, x and y named by their first meetings
+    Mutant("x named from letter 0 when i = 0", EQUATIONS,
+           "x0 = 0 if i else j * ly", "x0 = 0",
+           (EQ + "test_union_over_u_and_v_matches_the_full_position_union[0-1-1]",
+            EQ + "test_counted_report_matches_listed_every_small_triple[0-1-1]",
+            PIN + "[solve-edge-cases]")),
+    Mutant("y positions named before x's", EQUATIONS,
+           "parent = rx + ry + us + vs", "parent = ry + rx + us + vs",
+           (EQ + "test_union_over_u_and_v_matches_the_full_position_union[1-1-1]",
+            EQ + "test_counted_report_matches_listed_every_small_triple[1-1-1]",
+            PIN + "[solve-121-40]")),
+    Mutant("diagonal tuples counted twice", EQUATIONS,
+           "tally[n, count] += 2 if lu > lx else 1", "tally[n, count] += 2",
+           (EQ + "test_counted_report_matches_listed_every_small_triple[1-1-1]",
+            EQ + "test_report_solutions_rerun_the_raw_search[exps1-3-9-False-False]",
+            PIN + "[solve-131-21]")),
     # not listed, equivalent: dropping the early exit "if count == 1: break"
-    # from _union_positions.  Once one tree holds every position, both ends
-    # of each later pair find the root 0, so no union happens and the path
-    # compression keeps parent[p] <= p: the count and the first-occurrence
-    # labels are the same, and only the time differs.
+    # from _union_positions.  The forest there holds only u and v
+    # positions, and once one tree holds them all, both ends of each later
+    # pair find its root, so no union happens and the count stays 1.  Path
+    # halving only moves a position nearer its own root.  The x and y
+    # positions are set after the loop either way, and the labels are
+    # numbered through a dict of roots, so they depend on the partition
+    # alone: only the time differs.
+    # not listed, equivalent: dropping the first-meeting skip "if p == q:
+    # continue".  Such a pair is one position, so both finds reach the
+    # same root, the union branch takes "continue" before the count, and
+    # the partition is unchanged, by the same argument.
     # the least search bound with empty words
     Mutant("bound with empty words at least i + j + k", EQUATIONS,
            "if max_total_len < (1 if allow_empty else i + j + k):", "if max_total_len < i + j + k:",

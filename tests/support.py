@@ -390,6 +390,31 @@ def naive_solutions(
     return sols
 
 
+def naive_position_classes(exps, lx: int, ly: int, lu: int, lv: int) -> tuple[int, list[int]]:
+    """(class count, labels) of the positions of x, y, u, v by union-find over all of them.
+
+    Positions are numbered along x y u v, and each letter of the common
+    value unions the position of the left side with that of the right.
+    Labels number the classes by first occurrence.
+    """
+    i, j, k = exps
+    xs, ys = list(range(lx)), list(range(lx, lx + ly))
+    us, vs = list(range(lx + ly, lx + ly + lu)), list(range(lx + ly + lu, lx + ly + lu + lv))
+    parent = list(range(lx + ly + lu + lv))
+
+    def find(p):
+        while p != parent[p]:
+            p = parent[p]
+        return p
+
+    for p, q in zip(xs * i + ys * j + xs * k, us * i + vs * j + us * k):
+        p, q = find(p), find(q)
+        parent[max(p, q)] = min(p, q)
+    names: dict[int, int] = {}
+    label = [names.setdefault(find(p), len(names)) for p in range(len(parent))]
+    return len(names), label
+
+
 def naive_orbit_minimum(exps, words, alphabet_size: int):
     """Least image of (x, y, u, v) over the whole symmetry orbit, by brute force.
 

@@ -35,6 +35,7 @@ from support import (
     listed_report,
     naive_least_relabelling,
     naive_orbit_minimum,
+    naive_position_classes,
     naive_primitive_root,
     naive_solutions,
 )
@@ -397,14 +398,24 @@ def length_tuples(draw, bound=12, mirrored=False):
     return exps, draw(st.sampled_from(all_length_tuples(exps, max(bound, sum(exps)))))
 
 
+@pytest.mark.parametrize("i,j,k", [(i, j, k) for i in range(4) for j in range(1, 4) for k in range(4)
+                                   if i + k >= 1])
+def test_union_over_u_and_v_matches_the_full_position_union(i, j, k):
+    # every length tuple with common value up to 30, empty words and |u| = |x| included
+    exps = Exponents(i, j, k)
+    for t in all_length_tuples(exps, 30):
+        count, parent = _union_positions(exps, *t)
+        assert (count, _first_occurrence_labels(parent)) == naive_position_classes(exps, *t), t
+
+
 @settings(max_examples=200, deadline=None)
 @given(length_tuples(), st.integers(1, 4))
 def test_class_count_scales_with_the_tuple(case, m):
-    # the position union-find on the full tuple stays the reference
+    # the union-find over every position of the full tuple is the reference
     exps, t = case
     scaled = [m * n for n in t]
-    count = _union_positions(exps, *scaled)[0]
-    assert count == m * _union_positions(exps, *t)[0]
+    count = naive_position_classes(exps, *scaled)[0]
+    assert count == m * naive_position_classes(exps, *t)[0]
     assert scaled_classes(exps, scaled)[0] == count
 
 
@@ -412,18 +423,12 @@ def test_class_count_scales_with_the_tuple(case, m):
 @given(length_tuples(), st.integers(1, 4))
 def test_scaled_labels_partition_the_positions_as_union_find_does(case, m):
     # enumerate_solutions unions t / g only; its labels must name the same
-    # classes as the union-find forest of the full tuple, by first occurrence
+    # classes as the union-find over every position of the full tuple, by
+    # first occurrence, which runs in restricted-growth order along x y
     exps, t = case
     scaled = [m * n for n in t]
     count, label = scaled_classes(exps, scaled)
-    _, parent = _union_positions(exps, *scaled)
-    roots = []
-    for p in range(len(parent)):
-        while p != parent[p]:
-            p = parent[p]
-        roots.append(p)
-    assert len(label) == len(roots)
-    assert len(set(zip(label, roots))) == len(set(label)) == len(set(roots)) == count
+    assert (count, label) == naive_position_classes(exps, *scaled)
     top = -1
     for c in label[:scaled[0] + scaled[1]]:
         assert c <= top + 1
