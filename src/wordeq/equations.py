@@ -11,24 +11,27 @@ shape, so a length tuple (|x|, |y|, |u|, |v|) is an ordered pair of
 sides (a, b) with (i + k) a + j b = n, the length of the common value,
 and the side swap swaps the pair.  For each n within the bound the two
 sides spell one word of length n, so the positions of x, y, u and v
-that meet at each of its n positions must carry the same letter.  Each
-position of x and y is named by the u or v position it first meets, so
-union-find over the positions of u and v alone gives the c classes,
-and the solutions are exactly the alphabet^c letter assignments to the
-classes; no word is guessed and checked.  A tuple with |u| = |x|
-forces u = x and v = y, so the trivial solutions are skipped without
-looking at any word.
+that meet at each of its n positions must carry the same letter.  A
+side names each position of the common value by its first meeting, the
+first position that carries the same letter of the same word.  So
+union-find over the common value's positions, started from the u/v
+first meetings and joining each position to its x/y first meeting,
+gives the c classes, and the solutions are exactly the alphabet^c
+letter assignments to the classes; no word is guessed and checked.  A
+tuple with |u| = |x| forces u = x and v = y, so the trivial solutions
+are skipped without looking at any word.
 
 ``enumerate_solutions`` never lists the solutions: it walks n = 1, 2,
 ... and, for each n, the unordered pairs of its sides, so a tuple and its
-side swap are one visit.  It unions each primitive tuple (gcd 1) once,
-decides its multiples within the bound from the same classes copied per
-residue, computes ``total_solutions`` as the sum of alphabet^c over the
-tuples, once per pair of common-value length and class count, and
-builds words only for non-periodic assignments, told by their class
-labels, one per symmetry orbit (see ``enumerate_solutions`` for why that
-is exact and which images it names).  ``iter_solutions`` stays the raw
-enumerator.
+side swap are one visit.  It builds each side's first meetings once,
+for its own n only, and unions each primitive tuple (gcd 1) once from
+its two sides' lists.  It decides the tuple's multiples within the bound
+from the same classes copied per residue, computes ``total_solutions``
+as the sum of alphabet^c over the tuples, once per pair of common-value
+length and class count, and builds words only for non-periodic
+assignments, told by their class labels, one per symmetry orbit (see
+``enumerate_solutions`` for why that is exact and which images it
+names).  ``iter_solutions`` stays the raw enumerator.
 
 The search runs in one process.  The ``shards`` argument is accepted and
 validated for compatibility but starts no processes, so reports are
@@ -40,7 +43,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from heapq import merge
-from itertools import combinations, combinations_with_replacement, product
+from itertools import chain, combinations, combinations_with_replacement, product
 from math import gcd
 from typing import Iterator, NamedTuple
 
@@ -121,41 +124,71 @@ def _validate_search_args(exps: Exponents, alphabet_size: int, max_total_len: in
     return letters
 
 
-def _sides(exps: Exponents, n: int, lo: int) -> list[tuple[int, int]]:
-    """Every (a, b) with (i + k) a + j b = n and a, b >= lo, in ascending a."""
-    i, j, k = exps
-    return [(a, (n - (i + k) * a) // j) for a in range(lo, (n - j * lo) // (i + k) + 1)
-            if (n - (i + k) * a) % j == 0]
+def _sides(exps: Exponents, bound: int, lo: int) -> dict[int, list[tuple[int, int]]]:
+    """For 1 <= n <= bound, n -> every (a, b) with (i + k) a + j b = n and a, b >= lo.
 
-
-def _union_positions(exps: Exponents, lx: int, ly: int, lu: int, lv: int) -> tuple[int, list[int]]:
-    """Union the positions of x, y, u, v that meet in x^i y^j x^k = u^i v^j u^k.
-
-    Positions are numbered along x y u v.  Each position of x and y is
-    named by the u or v position it first meets in the common value:
-    x's from letter 0, or with i = 0 from the first letter of the
-    trailing x^k, and y's from letter i |x|.  So only the u and v
-    positions are unioned, and a pair that is such a first meeting is
-    already one position.  Returns the class count and the forest: each
-    x or y position points at the u or v position it first meets, and
-    among the u and v positions parent[p] <= p.
+    Each list is in ascending a, and the keys are exactly the n that
+    have a side.
     """
     i, j, k = exps
-    b = lx + ly
-    us, vs = list(range(b, b + lu)), list(range(b + lu, b + lu + lv))
-    rhs = us * i + vs * j + us * k
-    x0 = 0 if i else j * ly
-    rx, ry = rhs[x0:x0 + lx], rhs[i * lx:i * lx + ly]
-    parent = rx + ry + us + vs  # the loop reads and writes u and v positions only
-    count = lu + lv
-    for p, q in zip(rx * i + ry * j + rx * k, rhs):
+    table: dict[int, list[tuple[int, int]]] = {}
+    for a in range(lo, (bound - j * lo) // (i + k) + 1):
+        for b in range(lo, (bound - (i + k) * a) // j + 1):
+            if n := (i + k) * a + j * b:
+                table.setdefault(n, []).append((a, b))
+    return table
+
+
+def _side_positions(exps: Exponents, a: int, b: int) -> list[int]:
+    """Where each letter of the side (a, b)'s two words first occurs in the common value.
+
+    The side spells w^i z^j w^k with |w| = a and |z| = b.  The list
+    holds w's letters, then z's: w first occurs at letter 0, or with
+    i = 0 at the first letter of the trailing w^k, and z at letter i a.
+    """
+    i, j, _ = exps
+    a0 = 0 if i else j * b
+    return [*range(a0, a0 + a), *range(i * a, i * a + b)]
+
+
+def _first_meetings(exps: Exponents, a: int, b: int) -> list[int]:
+    """The first meeting of each position t of the common value the side (a, b) spells.
+
+    That is the first position that carries the same letter of the same
+    word as t, so first[t] <= t and first[first[t]] == first[t].
+    """
+    i, j, k = exps
+    first = _side_positions(exps, a, b)
+    ws, zs = first[:a], first[a:]
+    return ws * i + zs * j + ws * k
+
+
+def _union_positions(first_xy: list[int], first_uv: list[int], count: int) -> tuple[int, list[int]]:
+    """Union the positions of the common value that carry one letter of x^i y^j x^k = u^i v^j u^k.
+
+    ``first_xy`` and ``first_uv`` are the two sides' ``_first_meetings``,
+    and ``count`` is |u| + |v|.  Positions t and first_xy[t] carry the
+    same letter of x or y, and t and first_uv[t] the same of u or v, so
+    the classes of the letters of x, y, u and v are the classes of the
+    common value's positions under both relations.  The forest starts
+    as a copy of first_uv: every position already points at its u or v
+    first meeting, a root, so it holds |u| + |v| trees and
+    parent[t] <= t.  Then each t joins first_xy[t], as the pair of their
+    u/v first meetings; a pair that is one position is skipped.  The walk
+    runs from the end of the common value: at the start, x and y first
+    meet u and v at pairs that often are one position already, so going
+    backward reaches a single tree in fewer pairs.  The smaller index
+    becomes the root, so parent[t] <= t stays.  Returns the class count
+    and the forest.
+    """
+    parent = first_uv.copy()
+    for p, q in zip(map(first_uv.__getitem__, reversed(first_xy)), reversed(first_uv)):
         if p == q:
             continue
         while p != parent[p]:
             parent[p] = p = parent[parent[p]]
         while q != parent[q]:
             parent[q] = q = parent[parent[q]]
-        # the smaller index becomes the root
         if p < q:
             parent[q] = p
         elif q < p:
@@ -168,16 +201,19 @@ def _union_positions(exps: Exponents, lx: int, ly: int, lu: int, lv: int) -> tup
     return count, parent
 
 
-def _first_occurrence_labels(parent: list[int]) -> list[int]:
-    """The class of every position of a ``_union_positions`` forest, numbered by first occurrence.
+def _first_occurrence_labels(parent: list[int], xy: list[int], uv: list[int]) -> list[int]:
+    """The class of every letter of x, y, u and v, numbered by first occurrence.
 
-    Each position is followed to its root, halving the path on the way,
-    and the roots are named 0, 1, 2, ... in the order positions reach
-    them along x y u v, so the labels depend on the partition alone.
+    ``parent`` is a ``_union_positions`` forest, and ``xy`` and ``uv``
+    are the two sides' ``_side_positions``: where each letter of x and
+    y, then of u and v, first occurs in the common value.  Each is
+    followed to its root, halving the path on the way, and the roots
+    are named 0, 1, 2, ... in the order the letters reach them along
+    x y u v, so the labels depend on the partition alone.
     """
     names: dict[int, int] = {}
     label = []
-    for q in parent:
+    for q in chain(xy, uv):
         while q != parent[q]:
             parent[q] = q = parent[parent[q]]
         label.append(names.setdefault(q, len(names)))
@@ -206,8 +242,10 @@ def _tuple_solutions(
     x y, since every position of u and v meets one of x or y; so the
     assignments in product order give x y in lexicographic order.
     """
-    count, parent = _union_positions(exps, lx, ly, lu, lv)
-    label = _first_occurrence_labels(parent)
+    first_xy, first_uv = _first_meetings(exps, lx, ly), _first_meetings(exps, lu, lv)
+    count, parent = _union_positions(first_xy, first_uv, lu + lv)
+    label = _first_occurrence_labels(parent, _side_positions(exps, lx, ly),
+                                     _side_positions(exps, lu, lv))
     a, b, c = lx, lx + ly, lx + ly + lu
     for assignment in product(letters, repeat=count):
         s = "".join([assignment[t] for t in label])
@@ -272,7 +310,7 @@ def _solutions(exps: Exponents, letters: str, max_total_len: int, distinct_only:
     """The generator behind ``iter_solutions``, given parameters already checked."""
     i, j, k = exps
     lo = 0 if allow_empty else 1
-    sides = {n: _sides(exps, n, lo) for n in range(1, max_total_len + 1)}
+    sides = _sides(exps, max_total_len, lo)
     for lx, ly in sorted(side for uv in sides.values() for side in uv):
         # |u| = |x| forces u = x and v = y; every other tuple gives distinct solutions
         streams = [_tuple_solutions(exps, letters, lx, ly, lu, lv)
@@ -456,16 +494,18 @@ def enumerate_solutions(
     pairs = combinations if distinct_only else combinations_with_replacement
     tally: Counter[tuple[int, int]] = Counter()  # (n, c(t0)): primitive tuples, side swaps included
     reps: list[tuple[str, str, str, str]] = []
-    for n in range(1, max_total_len + 1):
+    for n, sides in _sides(exps, max_total_len, lo).items():
         multiples = range(1, max_total_len // n + 1)
-        for (lx, ly), (lu, lv) in pairs(_sides(exps, n, lo), 2):
+        first = {side: _first_meetings(exps, *side) for side in sides}  # dropped with n
+        for (lx, ly), (lu, lv) in pairs(sides, 2):
             if gcd(lx, ly, lu, lv) > 1:
                 continue
-            count, parent = _union_positions(exps, lx, ly, lu, lv)
+            count, parent = _union_positions(first[lx, ly], first[lu, lv], lu + lv)
             tally[n, count] += 2 if lu > lx else 1
             if count == 1:
                 continue
-            label = _first_occurrence_labels(parent)
+            label = _first_occurrence_labels(parent, _side_positions(exps, lx, ly),
+                                             _side_positions(exps, lu, lv))
             for g in multiples:
                 scaled = _residue_labels(label, g)
                 cuts = g * lx, g * (lx + ly), g * (lx + ly + lu)

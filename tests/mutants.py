@@ -12,12 +12,14 @@ stale silently.
 Standard library only; pytest does not collect this file.  Run it from
 any directory, with pytest and hypothesis installed:
 
-    python tests/mutants.py              # every mutant
-    python tests/mutants.py -k absorp    # mutants whose name contains "absorp"
+    python tests/mutants.py                                # every mutant
+    python tests/mutants.py -k absorp                      # mutants whose name contains "absorp"
+    python tests/mutants.py --path src/wordeq/oracles.py   # the mutants of one source file
 
 Exit status: 0 if every mutant was caught, 1 if one survived, 2 on an
-error: a ``-k`` that selects no mutant, a stale fragment, a node id
-that does not exist, or an unmutated copy that fails its node ids.
+error: a ``-k`` or ``--path`` that selects no mutant, a stale fragment,
+a node id that does not exist, or an unmutated copy that fails its node
+ids.
 """
 
 from __future__ import annotations
@@ -164,34 +166,49 @@ MUTANTS = [
     Mutant("factor-pair failures sorted without the group's first start", ORACLES,
            "sorted((lu, first[a], a, b, args)", "sorted((lu, a, b, args)",
            FACTOR_ORDER),
-    # the union over u and v positions only, x and y named by their first meetings
-    Mutant("x named from letter 0 when i = 0", EQUATIONS,
-           "x0 = 0 if i else j * ly", "x0 = 0",
-           (EQ + "test_union_over_u_and_v_matches_the_full_position_union[0-1-1]",
+    # the union over the common value's positions, from each side's first meetings
+    Mutant("w's first meetings from letter 0 when i = 0", EQUATIONS,
+           "a0 = 0 if i else j * b", "a0 = 0",
+           (EQ + "test_first_meetings_are_the_first_occurrences_of_the_block_layout[0-1-1]",
+            EQ + "test_union_over_u_and_v_matches_the_full_position_union[0-1-1]",
             EQ + "test_counted_report_matches_listed_every_small_triple[0-1-1]",
             PIN + "[solve-edge-cases]")),
-    Mutant("y positions named before x's", EQUATIONS,
-           "parent = rx + ry + us + vs", "parent = ry + rx + us + vs",
+    Mutant("u and v positions labelled before x's", EQUATIONS,
+           "for q in chain(xy, uv):", "for q in chain(uv, xy):",
            (EQ + "test_union_over_u_and_v_matches_the_full_position_union[1-1-1]",
             EQ + "test_counted_report_matches_listed_every_small_triple[1-1-1]",
-            PIN + "[solve-121-40]")),
+            PIN + "[solve-131-21]")),
+    # unions the same pairs, but the forest no longer links each position
+    # to its u or v first meeting; every (1, 2, 1) tuple up to 30 still
+    # gets its classes, so other triples catch it
+    Mutant("forest started from the x/y first meetings", EQUATIONS,
+           "parent = first_uv.copy()", "parent = first_xy.copy()",
+           (EQ + "test_union_over_u_and_v_matches_the_full_position_union[3-2-1]",
+            EQ + "test_counted_report_matches_listed_every_small_triple[2-2-1]",
+            PIN + "[solve-321-240]")),
     Mutant("diagonal tuples counted twice", EQUATIONS,
            "tally[n, count] += 2 if lu > lx else 1", "tally[n, count] += 2",
            (EQ + "test_counted_report_matches_listed_every_small_triple[1-1-1]",
             EQ + "test_report_solutions_rerun_the_raw_search[exps1-3-9-False-False]",
             PIN + "[solve-131-21]")),
     # not listed, equivalent: dropping the early exit "if count == 1: break"
-    # from _union_positions.  The forest there holds only u and v
-    # positions, and once one tree holds them all, both ends of each later
-    # pair find its root, so no union happens and the count stays 1.  Path
-    # halving only moves a position nearer its own root.  The x and y
-    # positions are set after the loop either way, and the labels are
-    # numbered through a dict of roots, so they depend on the partition
-    # alone: only the time differs.
-    # not listed, equivalent: dropping the first-meeting skip "if p == q:
-    # continue".  Such a pair is one position, so both finds reach the
-    # same root, the union branch takes "continue" before the count, and
-    # the partition is unchanged, by the same argument.
+    # from _union_positions.  count is the number of trees of the forest
+    # over the common value's positions: |u| + |v| at the start, when
+    # every position points at its u or v first meeting, and one less
+    # per union.  Once it is 1, one tree holds every position, so both
+    # finds of each later pair reach its root, no union happens and the
+    # count stays 1.  Path halving only moves a position nearer its own
+    # root.  The labels are numbered through a dict of roots, so they
+    # depend on the partition alone: only the time differs.
+    # not listed, equivalent: dropping the skip "if p == q: continue".
+    # Such a pair is one position, so both finds reach the same root, the
+    # union branch takes "continue" before the count, and the partition
+    # is unchanged, by the same argument.
+    # not listed, equivalent: walking forward, without both "reversed".
+    # The partition is the equivalence closure of all the pairs, which
+    # does not depend on the order they are unioned in; the count is its
+    # number of classes and the labels depend on it alone.  Only the pair
+    # at which the early exit comes differs.
     # the least search bound with empty words
     Mutant("bound with empty words at least i + j + k", EQUATIONS,
            "if max_total_len < (1 if allow_empty else i + j + k):", "if max_total_len < i + j + k:",
@@ -384,10 +401,12 @@ def failed_ids(tree: Path, ids: tuple[str, ...]) -> set[str]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("-k", default="", help="run only mutants whose name contains this")
-    selection = parser.parse_args().k
-    mutants = [m for m in MUTANTS if selection in m.name]
+    parser.add_argument("--path", default="", help="run only the mutants of this source file")
+    args = parser.parse_args()
+    mutants = [m for m in MUTANTS if args.k in m.name and args.path in ("", m.path)]
     if not mutants:
-        error(f"no mutant's name contains {selection!r}")
+        error(f"no mutant's name contains {args.k!r}"
+              + (f" among the mutants of {args.path}" if args.path else ""))
     for m in mutants:
         count = (ROOT / m.path).read_text().count(m.fragment)
         if count != 1:

@@ -9,12 +9,14 @@ from wordeq.equations import (
     EquationInstance,
     Exponents,
     SolutionReport,
+    _first_meetings,
     _first_occurrence_labels,
     _mirror_classes,
     _mirror_is_less,
     _named,
     _residue_labels,
     _restricted_growth,
+    _side_positions,
     _sides,
     _tuple_solutions,
     _union_positions,
@@ -318,14 +320,22 @@ def test_counting_pins_1_2_1_at_alphabet_26():
 
 
 def test_enumerate_unions_each_primitive_tuple_once(monkeypatch):
-    # multiples of a primitive tuple are decided from its one union-find
+    # multiples of a primitive tuple are decided from its one union-find;
+    # each first-meeting list is traced back to the side it was built for
     calls = []
-    union_positions = equations._union_positions
+    built = {}
+    first_meetings, union_positions = equations._first_meetings, equations._union_positions
 
-    def counting(exps, *t):
-        calls.append(t)
-        return union_positions(exps, *t)
+    def building(exps, a, b):
+        first = first_meetings(exps, a, b)
+        built[id(first)] = first, (a, b)  # holding the list keeps its id unique
+        return first
 
+    def counting(first_xy, first_uv, count):
+        calls.append(built[id(first_xy)][1] + built[id(first_uv)][1])
+        return union_positions(first_xy, first_uv, count)
+
+    monkeypatch.setattr(equations, "_first_meetings", building)
     monkeypatch.setattr(equations, "_union_positions", counting)
     for exps, scan, bound in [((1, 2, 1), enumerate_solutions, 20), ((3, 2, 1), conjecture_scan, 60)]:
         calls.clear()
@@ -340,6 +350,29 @@ def test_enumerate_unions_each_primitive_tuple_once(monkeypatch):
                     if lv and not rem and gcd(lx, ly, lu, lv) == 1:
                         primitive.add((lx, ly, lu, lv))
         assert sorted(calls) == sorted(primitive), exps
+
+
+@pytest.mark.parametrize("exps,bound,distinct_only,allow_empty", [
+    ((3, 2, 1), 60, True, False),
+    ((1, 2, 1), 14, False, True),
+])
+def test_enumerate_builds_each_sides_first_meetings_once_per_call(
+        monkeypatch, exps, bound, distinct_only, allow_empty):
+    # nothing is cached across calls: a second identical call builds every list again
+    built = []
+    first_meetings = equations._first_meetings
+
+    def building(exps, a, b):
+        built.append((a, b))
+        return first_meetings(exps, a, b)
+
+    monkeypatch.setattr(equations, "_first_meetings", building)
+    lo = 0 if allow_empty else 1
+    every_side = sorted(side for sides in _sides(Exponents(*exps), bound, lo).values() for side in sides)
+    for _ in range(2):
+        built.clear()
+        enumerate_solutions(exps, 2, bound, distinct_only=distinct_only, allow_empty=allow_empty)
+        assert sorted(built) == every_side  # each side once, and no side twice
 
 
 @pytest.mark.parametrize("exps,alphabet_size,bound,distinct_only,allow_empty", [
@@ -362,17 +395,41 @@ def test_report_solutions_rerun_the_raw_search(exps, alphabet_size, bound, disti
                                    if i + k >= 1])
 def test_sides_solve_the_side_equation_in_ascending_order(i, j, k):
     exps = Exponents(i, j, k)
-    for n in range(41):
-        for lo in (0, 1):
-            brute = [(a, b) for a in range(n + 1) for b in range(n + 1)
-                     if a >= lo and b >= lo and (i + k) * a + j * b == n]
-            assert _sides(exps, n, lo) == brute, (n, lo)  # brute lists a in ascending order
+    for lo in (0, 1):
+        brute = {n: [(a, b) for a in range(n + 1) for b in range(n + 1)
+                     if a >= lo and b >= lo and (i + k) * a + j * b == n] for n in range(1, 41)}
+        # brute lists a in ascending order; the keys are exactly the n that have a side
+        assert _sides(exps, 40, lo) == {n: sides for n, sides in brute.items() if sides}, lo
+
+
+@pytest.mark.parametrize("i,j,k", [(i, j, k) for i in range(4) for j in range(1, 4) for k in range(4)
+                                   if i + k >= 1])
+def test_first_meetings_are_the_first_occurrences_of_the_block_layout(i, j, k):
+    # every side with common value up to 30, empty words included: the
+    # side spells w^i z^j w^k, and position t first meets the first
+    # position that holds the same letter of the same word
+    exps = Exponents(i, j, k)
+    for sides in _sides(exps, 30, 0).values():
+        for a, b in sides:
+            w, z = [("w", r) for r in range(a)], [("z", r) for r in range(b)]
+            layout = w * i + z * j + w * k
+            assert _first_meetings(exps, a, b) == [layout.index(letter) for letter in layout], (a, b)
+            assert _side_positions(exps, a, b) == [layout.index(letter) for letter in w + z], (a, b)
 
 
 def all_length_tuples(exps, bound):
     """Every length tuple, empty words allowed, with common value 1..bound, in ascending order."""
-    return sorted((lx, ly, lu, lv) for n in range(1, bound + 1)
-                  for lx, ly in _sides(exps, n, 0) for lu, lv in _sides(exps, n, 0))
+    return sorted((lx, ly, lu, lv) for sides in _sides(exps, bound, 0).values()
+                  for lx, ly in sides for lu, lv in sides)
+
+
+def union_classes(exps, t):
+    """The class count and labels of t from the union over its two sides' first meetings."""
+    lx, ly, lu, lv = t
+    first_xy, first_uv = _first_meetings(exps, lx, ly), _first_meetings(exps, lu, lv)
+    count, parent = _union_positions(first_xy, first_uv, lu + lv)
+    return count, _first_occurrence_labels(parent, _side_positions(exps, lx, ly),
+                                           _side_positions(exps, lu, lv))
 
 
 def scaled_classes(exps, t):
@@ -382,8 +439,8 @@ def scaled_classes(exps, t):
     first-occurrence classes per residue mod g.
     """
     g = gcd(*t)
-    count, parent = _union_positions(exps, *(n // g for n in t))
-    return g * count, _residue_labels(_first_occurrence_labels(parent), g)
+    count, label = union_classes(exps, [n // g for n in t])
+    return g * count, _residue_labels(label, g)
 
 
 @st.composite
@@ -404,8 +461,7 @@ def test_union_over_u_and_v_matches_the_full_position_union(i, j, k):
     # every length tuple with common value up to 30, empty words and |u| = |x| included
     exps = Exponents(i, j, k)
     for t in all_length_tuples(exps, 30):
-        count, parent = _union_positions(exps, *t)
-        assert (count, _first_occurrence_labels(parent)) == naive_position_classes(exps, *t), t
+        assert union_classes(exps, t) == naive_position_classes(exps, *t), t
 
 
 @settings(max_examples=200, deadline=None)
@@ -441,7 +497,7 @@ def nonperiodic_tuples(draw, bound=12, mirrored=False):
     """Exponents and a length tuple of theirs with c(t / g) > 1 and at most 9 classes."""
     exps, _ = draw(length_tuples(bound, mirrored))
     tuples = [t for t in all_length_tuples(exps, bound)
-              if gcd(*t) < _union_positions(exps, *t)[0] <= 9]
+              if gcd(*t) < union_classes(exps, t)[0] <= 9]
     assume(tuples)
     return exps, draw(st.sampled_from(tuples))
 

@@ -1,6 +1,7 @@
 """The standing mutation check, tests/mutants.py: its command line and its list."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -34,3 +35,10 @@ def test_every_node_id_that_must_fail_is_collected():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert ids - set(proc.stdout.splitlines()) == set()
+
+
+def test_ci_runs_the_mutants_of_every_file_once():
+    # the mutation check runs in one CI step per source file
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    paths = re.findall(r"python tests/mutants\.py --path (\S+)", workflow)
+    assert sorted(paths) == sorted({m.path for m in MUTANTS})

@@ -109,6 +109,8 @@ PINS = [
         "dad5b516bb2307bc0894ce9ec6ecc1dbcd8f90a033321bd5eecf4b8d52d13f26"),
     Pin("solve-321-160", wordeq("solve --i 3 --j 2 --k 1 --max-len 160 --format json"), 0, 60,
         "0aa7c8d9442e4be1f5bfd9a1664603fa86973681e7336a447b74e091f7b10d07"),
+    Pin("solve-321-240", wordeq("solve --i 3 --j 2 --k 1 --max-len 240 --format json"), 0, 60,
+        "19e635c8e0d2ff3862c69514cb2abb60176fd5111ba076c00aef01aabcbe1473"),
     Pin("solve-131-21", wordeq("solve --i 1 --j 3 --k 1 --max-len 21 --no-distinct-only --format json"), 2, 60,
         "6e620c00ee7e2af89e6dd4400ab1c5ab5852b528814d77593b5c7c4c3658d85c"),
     Pin("verify-131-17", wordeq("verify --i 1 --j 3 --k 1 --max-len 17 --format json"), 2, 60,
